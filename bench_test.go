@@ -24,12 +24,14 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/hpav"
+	"repro/internal/mac"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/testbed"
+	"repro/internal/traffic"
 )
 
 // BenchmarkTable1Defaults regenerates the Table 1 constants table.
@@ -234,6 +236,31 @@ func BenchmarkMACNetworkSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tb.Run(1e6) // warm the scratch buffers and counter buckets
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Run(1e6)
+	}
+}
+
+// BenchmarkMACNetworkLoaded is BenchmarkMACNetworkSteadyState on a
+// loaded multi-class strip: Poisson CA1 data and CA2 management flows
+// on five transmitters, a CA3 management flow on the first, 2-MPDU
+// bursts and beacons. It covers what the saturated single-class testbed
+// never reaches — priority resolution across classes, quiet
+// fast-forward and beacon periods — and must also report 0 allocs/op.
+func BenchmarkMACNetworkLoaded(b *testing.B) {
+	tb, err := testbed.New(testbed.Options{N: 5, BurstMPDUs: 2, TrafficMeanMicros: 20_000,
+		MgmtMeanMicros: 40_000, BeaconPeriodMicros: 33_330, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb.Network.Station(testbed.StationTEI(0)).AddFlow(&mac.Flow{
+		Source: traffic.NewPoisson(60_000, rng.New(1).Split(3000)),
+		Spec: mac.BurstSpec{Dst: testbed.DstTEI, DstAddr: testbed.DstAddr, Priority: config.CA3,
+			MPDUs: 1, PBsPerMPDU: 1, FrameMicros: 150},
+	})
 	tb.Run(1e6) // warm the scratch buffers and counter buckets
 	b.ReportAllocs()
 	b.ResetTimer()

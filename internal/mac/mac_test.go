@@ -1,7 +1,9 @@
 package mac
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -414,6 +416,16 @@ func TestSetParamsBeforeStartOnly(t *testing.T) {
 		}
 	}()
 	stations[0].SetParams(config.CA1, config.DefaultCA1())
+}
+
+func TestSetParamsRejectsInvalidPriority(t *testing.T) {
+	s := NewStation("sta", 2, hpav.MAC{0, 0, 0, 0, 0, 2}, rng.New(1))
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid priority") {
+			t.Errorf("SetParams(priority 4) = %v, want an invalid-priority panic", r)
+		}
+	}()
+	s.SetParams(config.CA3+1, config.DefaultCA1())
 }
 
 func TestStationLookups(t *testing.T) {

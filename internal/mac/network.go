@@ -3,6 +3,7 @@ package mac
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/backoff"
 	"repro/internal/config"
@@ -147,7 +148,12 @@ type Network struct {
 
 	clock     float64
 	observers []Observer
-	stats     Stats
+	stats     Stats // PerClass stays nil; Stats() builds it from perClass
+	// perClass holds the per-priority outcome counts; classSeen has bit
+	// c set once class c saw a busy period, so Stats() reports exactly
+	// those classes.
+	perClass  [numClasses]ClassStats
+	classSeen uint8
 
 	beaconPeriod float64
 	nextBeacon   float64
@@ -194,7 +200,6 @@ func NewNetworkCfg(cfg Config) *Network {
 		overheads: timing.DefaultOverheads(),
 		errModel:  phy.None{},
 	}
-	n.stats.PerClass = make(map[config.Priority]*ClassStats)
 	if cfg.Overheads != nil {
 		n.SetOverheads(*cfg.Overheads)
 	}
@@ -280,22 +285,20 @@ func (n *Network) Now() float64 { return n.clock }
 // Stats returns a copy of the aggregate statistics so far.
 func (n *Network) Stats() Stats {
 	out := n.stats
-	out.PerClass = make(map[config.Priority]*ClassStats, len(n.stats.PerClass))
-	for k, v := range n.stats.PerClass {
-		c := *v
-		out.PerClass[k] = &c
+	out.PerClass = make(map[config.Priority]*ClassStats, bits.OnesCount8(n.classSeen))
+	for pri := range n.perClass {
+		if n.classSeen&(1<<pri) != 0 {
+			c := n.perClass[pri]
+			out.PerClass[config.Priority(pri)] = &c
+		}
 	}
 	out.AccessDelays = append([]float64(nil), n.stats.AccessDelays...)
 	return out
 }
 
 func (n *Network) classStats(pri config.Priority) *ClassStats {
-	c := n.stats.PerClass[pri]
-	if c == nil {
-		c = &ClassStats{}
-		n.stats.PerClass[pri] = c
-	}
-	return c
+	n.classSeen |= 1 << pri
+	return &n.perClass[pri]
 }
 
 func (n *Network) emit(ev Event) {
@@ -336,11 +339,14 @@ func (n *Network) step(end float64) {
 	// Priority resolution: each station that intends to contend
 	// signals its class in the two priority-resolution slots; the tone
 	// protocol elects the highest contending class and every lower
-	// class defers (its engines freeze).
+	// class defers (its engines freeze). One pass over the flows yields
+	// each station's pending-class mask, which also answers the
+	// contender test below.
 	classes := n.classScratch[:0]
 	for _, s := range n.stations {
-		if pri, ok := s.highestPending(now); ok {
-			classes = append(classes, pri)
+		s.pending = s.pendingMask(now)
+		if s.pending != 0 {
+			classes = append(classes, config.Priority(bits.Len8(s.pending)-1))
 		}
 	}
 	n.classScratch = classes[:0]
@@ -368,7 +374,7 @@ func (n *Network) step(end float64) {
 	contenders := n.contenderScratch[:0]
 	txs := n.txScratch[:0]
 	for _, s := range n.stations {
-		if !s.pendingAt(activeClass, now) {
+		if s.pending&(1<<activeClass) == 0 {
 			continue
 		}
 		contenders = append(contenders, s)
@@ -692,9 +698,9 @@ func (n *Network) capture(burst *hpav.Burst, now float64) {
 func (n *Network) beacon(now float64) {
 	d := n.overheads.Preamble + n.overheads.CIFS
 	for _, s := range n.stations {
-		for pri := range s.active {
-			if s.active[pri] {
-				s.afterBusy(pri, false, true)
+		for pri, active := range s.active {
+			if active {
+				s.afterBusy(config.Priority(pri), false, true)
 			}
 		}
 	}

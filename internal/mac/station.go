@@ -10,6 +10,10 @@ import (
 	"repro/internal/traffic"
 )
 
+// numClasses is the number of channel-access classes (CA0–CA3); every
+// per-class field is an array of this length indexed by config.Priority.
+const numClasses = int(config.CA3) + 1
+
 // BurstSpec describes what a flow transmits when its station wins the
 // channel: a burst of MPDUs to a destination.
 type BurstSpec struct {
@@ -60,14 +64,23 @@ type Station struct {
 	// TEI is the short identifier delimiters carry.
 	TEI hpav.TEI
 
-	flows     []*Flow
-	params    map[config.Priority]config.Params
-	engines   map[config.Priority]*backoff.Station
-	active    map[config.Priority]bool
-	intents   map[config.Priority]backoff.Action
+	flows []*Flow
+	// Per-class state, indexed by config.Priority (CA0–CA3): the
+	// CSMA/CA parameters, the lazily started backoff engine, whether
+	// the class is contending, its current intent, and when its
+	// head-of-line frame reached the head of the queue.
+	params    [numClasses]config.Params
+	engines   [numClasses]*backoff.Station
+	active    [numClasses]bool
+	intents   [numClasses]backoff.Action
+	headSince [numClasses]float64
 	counters  *Counters
 	src       *rng.Source
-	headSince map[config.Priority]float64
+
+	// pending is the class bitmask of the current medium event (bit c
+	// set ⇔ some flow of class c has traffic); Network.step refreshes
+	// it once per event before reading it.
+	pending uint8
 
 	burstSeq uint32
 
@@ -90,22 +103,17 @@ func NewStation(name string, tei hpav.TEI, addr hpav.MAC, src *rng.Source) *Stat
 	if src == nil {
 		panic("mac: NewStation: nil rng source")
 	}
-	params := make(map[config.Priority]config.Params, 4)
-	for _, p := range []config.Priority{config.CA0, config.CA1, config.CA2, config.CA3} {
-		params[p] = config.Default1901(p)
+	s := &Station{
+		Name:     name,
+		Addr:     addr,
+		TEI:      tei,
+		counters: NewCounters(),
+		src:      src,
 	}
-	return &Station{
-		Name:      name,
-		Addr:      addr,
-		TEI:       tei,
-		params:    params,
-		engines:   make(map[config.Priority]*backoff.Station),
-		active:    make(map[config.Priority]bool),
-		intents:   make(map[config.Priority]backoff.Action),
-		headSince: make(map[config.Priority]float64),
-		counters:  NewCounters(),
-		src:       src,
+	for pri := range s.params {
+		s.params[pri] = config.Default1901(config.Priority(pri))
 	}
+	return s
 }
 
 // SetParams overrides the CSMA/CA parameters of one priority class —
@@ -113,6 +121,9 @@ func NewStation(name string, tei hpav.TEI, addr hpav.MAC, src *rng.Source) *Stat
 // network starts; changing parameters mid-run would desynchronize the
 // engine state.
 func (s *Station) SetParams(pri config.Priority, p config.Params) {
+	if !pri.Valid() {
+		panic(fmt.Sprintf("mac: SetParams: invalid priority %d", pri))
+	}
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("mac: SetParams: %v", err))
 	}
@@ -165,16 +176,18 @@ func (s *Station) pendingAt(pri config.Priority, now float64) bool {
 	return false
 }
 
-// highestPending returns the top contending class at now, if any.
-func (s *Station) highestPending(now float64) (config.Priority, bool) {
-	for pri := config.CA3; ; pri-- {
-		if s.pendingAt(pri, now) {
-			return pri, true
-		}
-		if pri == config.CA0 {
-			return 0, false
+// pendingMask returns the classes with traffic at now as a bitmask (bit
+// c set ⇔ some flow of class c is pending), asking each flow once.
+// Sources pull arrivals lazily from their own streams, so how often a
+// flow is asked at one instant never changes what it draws.
+func (s *Station) pendingMask(now float64) uint8 {
+	var m uint8
+	for _, f := range s.flows {
+		if f.Source.Pending(now) {
+			m |= 1 << f.Spec.Priority
 		}
 	}
+	return m
 }
 
 // nextArrival returns the earliest next arrival across flows.
@@ -284,13 +297,4 @@ func (s *Station) peekSpec(pri config.Priority, now float64) BurstSpec {
 		}
 	}
 	panic("mac: peekSpec called with no pending flow")
-}
-
-// engineSnapshot exposes the backoff counters of one class for traces.
-func (s *Station) engineSnapshot(pri config.Priority) (backoff.Snapshot, bool) {
-	eng := s.engines[pri]
-	if eng == nil {
-		return backoff.Snapshot{}, false
-	}
-	return eng.Snapshot(), true
 }

@@ -177,14 +177,35 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeSpecRequest reads a SubmitRequest body and parses its spec,
-// writing the 400 itself on any failure (ok=false). Shared by the
-// submit and predict handlers so the two surfaces cannot drift.
-func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Spec, req SubmitRequest, ok bool) {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every POST body. The shipped scenario and
+// campaign files are under 1 KiB each; 1 MiB leaves wide headroom for
+// long axis value lists while keeping one request from buffering
+// unbounded input.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, rejecting unknown
+// fields, and writes the error response itself on failure (ok=false):
+// 413 for a body over maxBodyBytes, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if err := dec.Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Errorf("serve: decode request: %w", err))
+		return false
+	}
+	return true
+}
+
+// decodeSpecRequest reads a SubmitRequest body and parses its spec,
+// writing the 400 (or 413) itself on any failure (ok=false). Shared by
+// the submit and predict handlers so the two surfaces cannot drift.
+func decodeSpecRequest(w http.ResponseWriter, r *http.Request) (spec scenario.Spec, req SubmitRequest, ok bool) {
+	if !decodeBody(w, r, &req) {
 		return scenario.Spec{}, req, false
 	}
 	if len(req.Spec) == 0 {
@@ -296,11 +317,8 @@ type CampaignRequest struct {
 // response mirrors POST /v1/jobs; an X-Cache header reports whether
 // the whole campaign was answered from the result cache.
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req CampaignRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Campaign) == 0 {

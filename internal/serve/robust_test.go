@@ -663,3 +663,53 @@ func TestDiskCacheFaultDegradesReadiness(t *testing.T) {
 		t.Fatalf("Ready() after recovery = false (%s), want true", reason)
 	}
 }
+
+// TestPostBodyBounded pins the request-size bound on every POST
+// endpoint: a body over maxBodyBytes answers 413 (never a 5xx, never a
+// decode attempt on unbounded input), while a large but legal campaign
+// just under the bound still decodes and is admitted.
+func TestPostBodyBounded(t *testing.T) {
+	s := mustNew(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	huge := strings.Repeat("x", maxBodyBytes)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/jobs", `{"spec": {"name": "` + huge + `"}}`},
+		{"/v1/predict", `{"spec": {"name": "` + huge + `"}}`},
+		{"/v1/campaigns", `{"campaign": {"name": "` + huge + `"}}`},
+		// Whitespace counts too: the bound is on bytes read, not on
+		// the size of the decoded value.
+		{"/v1/campaigns", `{"campaign": ` + strings.Repeat(" ", maxBodyBytes) + `{}}`},
+	} {
+		if got := post(tc.path, tc.body); got != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body = %d, want 413", tc.path, len(tc.body), got)
+		}
+	}
+
+	// A legal campaign whose body sits just under the bound.
+	camp := tinyCampaign("camp-large")
+	camp.Base.Description = strings.Repeat("d", maxBodyBytes-4096)
+	campJSON, err := json.Marshal(camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"campaign": %s}`, campJSON)
+	if len(body) >= maxBodyBytes {
+		t.Fatalf("large-but-legal body is %d bytes, not under the %d bound", len(body), maxBodyBytes)
+	}
+	if got := post("/v1/campaigns", body); got != http.StatusAccepted {
+		t.Errorf("POST /v1/campaigns with a legal %d-byte body = %d, want 202", len(body), got)
+	}
+}

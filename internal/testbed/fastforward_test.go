@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/mac"
+	"repro/internal/rng"
+	"repro/internal/traffic"
 )
 
 // buildPairedTestbeds returns two identically seeded testbeds, the
@@ -81,16 +84,52 @@ func TestMACFastForwardAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestMediumLoopAllocationFree pins the zero-allocation property of the
-// unobserved medium loop: once the scratch buffers and counter buckets
-// are warm, advancing the network must not allocate at all.
-func TestMediumLoopAllocationFree(t *testing.T) {
-	tb, err := New(Options{N: 7, Seed: 1})
+// loadedTestbed is a loaded multi-class strip: Poisson CA1 data and
+// CA2 management flows on every transmitter, a CA3 management flow on
+// the first one, 2-MPDU bursts and beacons — every per-class path of
+// the medium loop (priority resolution across a station's own classes,
+// quiet fast-forward, beacon busy periods) in one network.
+func loadedTestbed(t testing.TB) *Testbed {
+	t.Helper()
+	tb, err := New(Options{N: 5, BurstMPDUs: 2, TrafficMeanMicros: 20_000,
+		MgmtMeanMicros: 40_000, BeaconPeriodMicros: 33_330, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Run(1e6) // warm scratch buffers and counter buckets
-	if allocs := testing.AllocsPerRun(5, func() { tb.Run(5e5) }); allocs > 0 {
-		t.Errorf("steady-state Run allocated %.0f objects per call, want 0", allocs)
+	tb.Network.Station(StationTEI(0)).AddFlow(&mac.Flow{
+		Source: traffic.NewPoisson(60_000, rng.New(1).Split(3000)),
+		Spec: mac.BurstSpec{Dst: DstTEI, DstAddr: DstAddr, Priority: config.CA3,
+			MPDUs: 1, PBsPerMPDU: 1, FrameMicros: 150},
+	})
+	return tb
+}
+
+// TestMediumLoopAllocationFree pins the zero-allocation property of the
+// unobserved medium loop: once the scratch buffers and counter buckets
+// are warm, advancing the network must not allocate at all — on the
+// saturated single-class testbed and on the loaded multi-class one.
+func TestMediumLoopAllocationFree(t *testing.T) {
+	saturated, err := New(Options{N: 7, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		tb   *Testbed
+	}{{"saturated-N7", saturated}, {"loaded-multiclass", loadedTestbed(t)}} {
+		tb := tc.tb
+		t.Run(tc.name, func(t *testing.T) {
+			tb.Run(1e6) // warm scratch buffers and counter buckets
+			if allocs := testing.AllocsPerRun(5, func() { tb.Run(5e5) }); allocs > 0 {
+				t.Errorf("steady-state Run allocated %.0f objects per call, want 0", allocs)
+			}
+			st := tb.Network.Stats()
+			if st.Successes == 0 {
+				t.Fatal("network delivered nothing")
+			}
+			if tb.Options.BeaconPeriodMicros > 0 && (st.Beacons == 0 || st.QuietTime == 0 || st.PerClass[config.CA3] == nil) {
+				t.Errorf("loaded network missed a path: beacons=%d quiet=%v CA3=%v", st.Beacons, st.QuietTime, st.PerClass[config.CA3])
+			}
+		})
 	}
 }
