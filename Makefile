@@ -4,6 +4,7 @@
 BENCH     ?= .
 BENCHTIME ?= 1s
 COUNT     ?= 3
+OUT       ?= BENCH_results.json
 
 .PHONY: build test race bench fuzz-smoke lint
 
@@ -28,13 +29,15 @@ race:
 
 # bench captures the benchmark baseline: every Benchmark* with
 # -benchmem, COUNT runs each (benchstat wants repeated samples), parsed
-# into BENCH_results.json with the raw text embedded. Tune time/count
-# via `make bench BENCHTIME=1x COUNT=1` for a quick smoke.
+# into OUT (default BENCH_results.json, the committed baseline) with the
+# raw text embedded. Tune time/count via `make bench BENCHTIME=1x
+# COUNT=1` for a quick smoke, and point OUT elsewhere so a smoke run
+# leaves the baseline alone.
 bench:
 	go test -run=XXX -bench='$(BENCH)' -benchmem -benchtime=$(BENCHTIME) -count=$(COUNT) ./... > bench.out
-	go run ./cmd/benchjson < bench.out > BENCH_results.json
+	go run ./cmd/benchjson < bench.out > $(OUT)
 	@rm -f bench.out
-	@echo "wrote BENCH_results.json"
+	@echo "wrote $(OUT)"
 
 # fuzz-smoke gives each scenario/campaign fuzzer a short budget — the
 # CI regression net; long exploratory runs raise -fuzztime locally.

@@ -269,10 +269,10 @@ func BenchmarkMACNetworkLoaded(b *testing.B) {
 	}
 }
 
-// noopSlotObserver forces sim.Engine onto its slot-by-slot path (any
-// observer disables the idle fast-forward) without doing any work, so
-// the two arms of BenchmarkEngineIdleFastForward compare the batched
-// loop against the traced per-slot loop on identical inputs.
+// noopSlotObserver makes sim.Engine stop at every idle slot (any
+// observer does) without doing any work, so the two arms of
+// BenchmarkEngineIdleFastForward compare the batched loop against the
+// traced per-slot loop on identical inputs.
 type noopSlotObserver struct{}
 
 func (noopSlotObserver) OnSlot(float64, sim.SlotKind, []int, []backoff.Snapshot) {}
@@ -281,7 +281,7 @@ func (noopSlotObserver) OnSlot(float64, sim.SlotKind, []int, []backoff.Snapshot)
 // its target regime — idle-dominated contention (small N, large CW,
 // where most medium events are empty 35.84 µs slots) — and reports
 // simulated µs per wall-clock ns. The slot-by-slot arms run the same
-// inputs through the per-slot fallback for comparison; both arms are
+// inputs with an observer installed for comparison; both arms are
 // bit-identical in output (see internal/sim's equivalence tests). The
 // CA0 arms use the paper's Table 1 schedule at N=2; the wide-CW arms
 // model the large windows the boosting search explores, where idle runs

@@ -4,10 +4,13 @@
 // BPC), and the 802.11 DCF process used as baseline.
 //
 // The types here are pure state machines: they know nothing about time,
-// the medium, frames or priorities. The slot-synchronous simulator
-// (internal/sim), the event-driven MAC (internal/mac) and the analytical
-// model's validation tests all drive the same machine, which is what
-// makes the cross-validation of Figure 2 meaningful.
+// the medium, frames or priorities. The event-driven MAC (internal/mac)
+// and the analytical model's validation tests drive them directly. The
+// slot-synchronous simulator (internal/sim) runs the same machine's
+// counters in flat per-station arrays, one fused pass per busy period,
+// and its oracle test pins that kernel to Station on random
+// configurations — so every engine of Figure 2 runs one machine, which
+// is what makes their cross-validation meaningful.
 //
 // # Semantics
 //

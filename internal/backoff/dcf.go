@@ -139,19 +139,3 @@ func (s *DCFStation) CW() int { return s.cfg.Window(s.stage) }
 
 // Redraws returns the number of redraws since Reset.
 func (s *DCFStation) Redraws() int64 { return s.redraws }
-
-// Process is the common interface of the two backoff engines, letting
-// the simulator run either protocol through identical code.
-type Process interface {
-	Start() Action
-	AfterIdle() Action
-	AfterIdleN(k int) Action
-	AfterBusy(transmitted, success bool) Action
-	Reset()
-	BC() int
-}
-
-var (
-	_ Process = (*Station)(nil)
-	_ Process = (*DCFStation)(nil)
-)

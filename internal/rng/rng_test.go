@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/big"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -234,20 +236,65 @@ func TestSplitDeterministicProperty(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	tests := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, tc := range tests {
-		hi, lo := mul64(tc.a, tc.b)
-		if hi != tc.hi || lo != tc.lo {
-			t.Errorf("mul64(%d, %d) = (%d, %d), want (%d, %d)", tc.a, tc.b, hi, lo, tc.hi, tc.lo)
+// yielding returns a source whose next Uint64 output is x: xoshiro256**
+// outputs rotl(s1·5, 7)·9, and 5 and 9 are invertible mod 2⁶⁴.
+func yielding(x uint64) *Source {
+	inv := func(a uint64) uint64 { // Newton's iteration for a⁻¹ mod 2⁶⁴
+		y := a
+		for i := 0; i < 6; i++ {
+			y *= 2 - a*y
 		}
+		return y
+	}
+	return &Source{s1: bits.RotateLeft64(x*inv(9), -7) * inv(5)}
+}
+
+// TestIntnProductMatchesBig checks the 128-bit product behind Intn
+// against math/big: whenever Lemire's draw accepts its first 64-bit
+// output x, Intn(n) must return ⌊x·n / 2⁶⁴⌋ exactly. Edge operands
+// cover the 32-bit limb boundaries and the top of the range; random
+// pairs span every magnitude of n.
+func TestIntnProductMatchesBig(t *testing.T) {
+	two64 := new(big.Int).Lsh(big.NewInt(1), 64)
+	check := func(x uint64, n int) bool {
+		if got := yielding(x).Uint64(); got != x {
+			t.Fatalf("yielding(%d) produced %d", x, got)
+		}
+		p := new(big.Int).Mul(new(big.Int).SetUint64(x), big.NewInt(int64(n)))
+		hi, lo := new(big.Int).DivMod(p, two64, new(big.Int))
+		threshold := new(big.Int).Mod(two64, big.NewInt(int64(n)))
+		if lo.Cmp(threshold) < 0 {
+			return false // rejected: Intn draws again
+		}
+		if got := yielding(x).Intn(n); uint64(got) != hi.Uint64() {
+			t.Errorf("Intn(%d) with x=%d = %d, want %v", n, x, got, hi)
+		}
+		return true
+	}
+
+	edges := []uint64{0, 1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 63, math.MaxUint64}
+	accepted := 0
+	for _, x := range edges {
+		for _, n := range edges {
+			if n == 0 || n > math.MaxInt {
+				continue
+			}
+			if check(x, int(n)) {
+				accepted++
+			}
+		}
+		if check(x, math.MaxInt) {
+			accepted++
+		}
+	}
+	if accepted < 20 {
+		t.Errorf("only %d edge pairs accepted on the first draw", accepted)
+	}
+
+	src := New(77)
+	for i := 0; i < 20000; i++ {
+		x := src.Uint64()
+		n := max(1, int(src.Uint64()>>(1+src.Intn(63))))
+		check(x, n)
 	}
 }

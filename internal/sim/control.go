@@ -53,7 +53,7 @@ var ControlNames = [NumControls]string{
 // controller holds the predictor's per-engine scratch; all slices are
 // preallocated so prediction allocates nothing per event.
 type controller struct {
-	e *Engine
+	in *Inputs
 	// Pre-draw state entering the next cycle: station i either redraws
 	// a fresh counter uniform on [0, w[i]) (drawing[i]) or continues
 	// deferring with a known post-decrement counter fixed[i].
@@ -70,10 +70,13 @@ type controller struct {
 
 // EnableControls switches on control-variate accounting for this
 // engine's Run. It must be called before Run.
-func (e *Engine) EnableControls() {
-	n := e.in.N
-	e.ctrl = &controller{
-		e:       e,
+func (e *Engine) EnableControls() { e.ctrl = newController(&e.in) }
+
+// newController returns a predictor for a run of in.
+func newController(in *Inputs) *controller {
+	n := in.N
+	return &controller{
+		in:      in,
 		drawing: make([]bool, n),
 		w:       make([]int, n),
 		fixed:   make([]int, n),
@@ -88,10 +91,11 @@ func (e *Engine) EnableControls() {
 }
 
 // predictInitial accounts for the very first cycle: every station is
-// fresh and draws at backoff stage 0, exactly what Station.Start does.
+// fresh and draws at backoff stage 0, exactly what the engine's first
+// draws (backoff.Station.Start) do.
 func (c *controller) predictInitial() {
 	for i := range c.drawing {
-		p := c.e.in.stationParams(i)
+		p := c.in.stationParams(i)
 		c.drawing[i] = true
 		c.w[i] = p.CW[p.Stage(0)]
 	}
@@ -100,26 +104,28 @@ func (c *controller) predictInitial() {
 
 // predictNext captures the pre-draw state after a busy event and adds
 // the conditional expectation of the next cycle. It must run after the
-// event is resolved (winner known) but before the AfterBusy updates
-// consume the redraw randomness; t0 is the simulated time at which the
-// next cycle starts. winner is the index of the successful transmitter,
-// or −1 for collisions and frame errors.
+// event is resolved (winner known) but before the busy pass consumes
+// the redraw randomness, and reads the engine's counters as they stand
+// entering the event (off idle slots still pending on bc); t0 is the
+// simulated time at which the next cycle starts. winner is the index of
+// the successful transmitter, or −1 for collisions and frame errors.
 //
 // The state mapping mirrors backoff.Station.AfterBusy exactly: a
 // successful winner resets its backoff-stage counter first; then a
 // station redraws (uniform on its stage window) iff its backoff or
 // deferral counter hit zero, and otherwise keeps deferring with both
 // counters decremented.
-func (c *controller) predictNext(t0 float64, winner int) {
-	for i, s := range c.e.stations {
-		bc, dc, bpc := s.BC(), s.DC(), s.BPC()
+func (e *Engine) predictNext(t0 float64, winner, off int) {
+	c := e.ctrl
+	for i, bc := range e.bc {
+		bc -= off
+		bpc := e.bpc[i]
 		if i == winner {
 			bpc = 0
 		}
-		if bc == 0 || dc == 0 {
-			p := c.e.in.stationParams(i)
+		if bc == 0 || e.dc[i] == 0 {
 			c.drawing[i] = true
-			c.w[i] = p.CW[p.Stage(bpc)]
+			c.w[i] = e.window(i, bpc)
 		} else {
 			c.drawing[i] = false
 			c.fixed[i] = bc - 1
@@ -134,7 +140,7 @@ func (c *controller) predictNext(t0 float64, winner int) {
 // bit for bit.
 func (c *controller) accumulate(t0 float64) {
 	n := len(c.w)
-	in := &c.e.in
+	in := c.in
 	tv := t0
 	for v := 0; ; v++ {
 		if tv > in.SimTime {

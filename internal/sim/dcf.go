@@ -151,3 +151,26 @@ func RunDCF(in DCFInputs) (Result, error) {
 	res.NormalizedThroughput = float64(res.Successes) * in.FrameLength / t
 	return res, nil
 }
+
+// fastForwardIdle batches the provably idle run that begins at *t: when
+// every station defers, the next min(BC) slots are empty and consume no
+// randomness, so the per-station updates collapse into one AfterIdleN
+// call. The per-slot time accounting is replayed scalar-wise (one
+// SlotTime addition per slot) so the float accumulation — and the
+// SimTime stopping point — stays bit-identical to the slot-by-slot
+// loop.
+func fastForwardIdle(stations []*backoff.DCFStation, intents []backoff.Action, t *float64, simTime float64, idleSlots *int64) {
+	m := stations[0].BC()
+	for _, s := range stations[1:] {
+		m = min(m, s.BC())
+	}
+	k := 0
+	for k < m && *t <= simTime {
+		*idleSlots++
+		*t += timing.SlotTime
+		k++
+	}
+	for i, s := range stations {
+		intents[i] = s.AfterIdleN(k)
+	}
+}

@@ -8,10 +8,9 @@ import (
 	"repro/internal/config"
 )
 
-// noopObserver forces the engine onto its slot-by-slot path without
-// recording anything: installing any observer disables the idle
-// fast-forward, so a run with noopObserver reproduces the seed
-// repository's original slot-at-a-time medium loop exactly.
+// noopObserver makes the engine stop at every idle slot without
+// recording anything: with any observer installed, the medium loop
+// reports each idle slot instead of jumping the clock across the run.
 type noopObserver struct{}
 
 func (noopObserver) OnSlot(float64, SlotKind, []int, []backoff.Snapshot) {}
@@ -106,7 +105,7 @@ func TestFastForwardStationStateMatches(t *testing.T) {
 	fast.Run()
 	slow.Run()
 	for i := 0; i < in.N; i++ {
-		if fs, ss := fast.Station(i).Snapshot(), slow.Station(i).Snapshot(); fs != ss {
+		if fs, ss := fast.Snapshot(i), slow.Snapshot(i); fs != ss {
 			t.Errorf("station %d: batched state %+v ≠ slot-by-slot %+v", i, fs, ss)
 		}
 	}
@@ -115,22 +114,52 @@ func TestFastForwardStationStateMatches(t *testing.T) {
 // TestMediumLoopAllocationFree pins the zero-allocation property of the
 // engine's medium loop: a 100× longer simulation must allocate exactly
 // as much as a short one (engine construction and the Result only) —
-// i.e. the loop itself allocates nothing.
+// i.e. the loop itself allocates nothing. Besides the homogeneous
+// saturated run it covers a heterogeneous mix with a deferral-disabled
+// group, channel errors (the error-stream draws) and an EnableControls
+// run (the predictor's per-event pass).
 func TestMediumLoopAllocationFree(t *testing.T) {
-	allocs := func(simTime float64) float64 {
-		in := DefaultInputs(3)
-		in.SimTime = simTime
-		return testing.AllocsPerRun(3, func() {
-			e, err := NewEngine(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Run()
-		})
+	inf := 1 << 20
+	hetero := DefaultInputs(6)
+	hetero.PerStation = []config.Params{
+		config.DefaultCA1(), config.DefaultCA1(), config.Default1901(config.CA3),
+		{Name: "nodefer", CW: []int{4, 8, 16, 32}, DC: []int{inf, inf, inf, inf}},
+		{Name: "nodefer", CW: []int{4, 8, 16, 32}, DC: []int{inf, inf, inf, inf}},
+		{Name: "wide", CW: []int{512, 1024}, DC: []int{0, 3}},
 	}
-	short, long := allocs(2e5), allocs(2e7)
-	if long > short {
-		t.Errorf("run 100× longer allocated more (%v vs %v): medium loop is not allocation-free", long, short)
+	errs := DefaultInputs(3)
+	errs.ErrorProb = []float64{0, 0.2, 1}
+	cases := []struct {
+		name     string
+		in       Inputs
+		controls bool
+	}{
+		{"saturated", DefaultInputs(3), false},
+		{"heterogeneous", hetero, false},
+		{"error-prob", errs, false},
+		{"controls", errs, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(simTime float64) float64 {
+				in := tc.in
+				in.SimTime = simTime
+				return testing.AllocsPerRun(3, func() {
+					e, err := NewEngine(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.controls {
+						e.EnableControls()
+					}
+					e.Run()
+				})
+			}
+			short, long := allocs(2e5), allocs(2e7)
+			if long > short {
+				t.Errorf("run 100× longer allocated more (%v vs %v): medium loop is not allocation-free", long, short)
+			}
+		})
 	}
 }
 

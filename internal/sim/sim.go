@@ -245,21 +245,37 @@ func (k SlotKind) String() string {
 	}
 }
 
-// Engine runs N backoff processes over the shared slotted medium.
+// Engine runs N 1901 backoff processes over the shared slotted medium.
 //
-// The medium loop is event-driven over idle time: when every station
-// defers, the next min(BC) slots are provably idle and consume no
-// randomness, so the engine batches them through AfterIdleN instead of
-// stepping slot by slot. With an Observer installed the engine falls
-// back to slot-by-slot stepping (traces must see every slot); both modes
-// produce bit-identical Results.
+// The stations' backoff machines live in flat per-station arrays — the
+// counters BC, DC and BPC of backoff.Station, each station's stage
+// tables, its random stream and its redraw counters — so one busy
+// period costs one fused pass over the arrays rather than a method call
+// per station. The machine is backoff.Station's exactly (the package's
+// tests drive the Station-based loop as a reference oracle and require
+// identical Results and observer streams).
+//
+// The medium loop is event-driven over idle time: after a busy period
+// the next min(BC) slots are provably idle and consume no randomness,
+// so the engine advances the clock across them (one SlotTime addition
+// per slot, keeping the float accumulation bit-identical to stepping)
+// and folds the run into the next busy pass as a lazy offset on every
+// BC. With an Observer installed the same loop stops at each idle slot
+// to report it; both modes produce bit-identical Results.
 type Engine struct {
-	in       Inputs
-	stations []*backoff.Station
-	errSrc   []*rng.Source // per-station channel-error streams (nil entries: error-free)
-	intents  []backoff.Action
+	in Inputs
+
+	// Station i's backoff state: bc[i], dc[i] and bpc[i] are its BC, DC
+	// and BPC; stage s of its schedule uses cwTab[base[i]+s] and
+	// dcTab[base[i]+s], s ≤ last[i].
+	bc, dc, bpc        []int
+	base, last         []int
+	cwTab, dcTab       []int
+	src                []rng.Source // per-station backoff streams
+	redraws, deferrals []int64
+
+	errSrc   []rng.Source // per-station channel-error streams (drawn only where ErrorProb > 0)
 	txs      []int
-	txMask   []bool // scratch: transmitter membership during a collision
 	snaps    []backoff.Snapshot
 	observer Observer
 	ctrl     *controller // non-nil after EnableControls (see control.go)
@@ -276,23 +292,51 @@ func NewEngine(in Inputs) (*Engine, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	n := in.N
+	stages := 0
+	for i := 0; i < n; i++ {
+		stages += len(in.stationParams(i).CW)
+	}
+	// One backing array holds the per-station counters and the stage
+	// tables, another the redraw counters.
+	ints := make([]int, 5*n+2*stages)
+	carve := func(k int) []int {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	counts := make([]int64, 2*n)
 	root := rng.New(in.Seed)
 	e := &Engine{
-		in:       in,
-		stations: make([]*backoff.Station, in.N),
-		intents:  make([]backoff.Action, in.N),
-		txs:      make([]int, 0, in.N),
-		txMask:   make([]bool, in.N),
-		snaps:    make([]backoff.Snapshot, in.N),
+		in:        in,
+		bc:        carve(n),
+		dc:        carve(n),
+		bpc:       carve(n),
+		base:      carve(n),
+		last:      carve(n),
+		cwTab:     carve(stages),
+		dcTab:     carve(stages),
+		src:       make([]rng.Source, n),
+		redraws:   counts[:n:n],
+		deferrals: counts[n:],
+		txs:       make([]int, 0, n),
+		snaps:     make([]backoff.Snapshot, n),
 	}
-	for i := range e.stations {
-		e.stations[i] = backoff.NewStation(in.stationParams(i), root.Split(uint64(i)))
+	at := 0
+	for i := 0; i < n; i++ {
+		p := in.stationParams(i)
+		e.base[i] = at
+		e.last[i] = len(p.CW) - 1
+		copy(e.cwTab[at:], p.CW)
+		copy(e.dcTab[at:], p.DC)
+		at += len(p.CW)
+		e.src[i] = *root.Split(uint64(i))
 	}
 	if in.ErrorProb != nil {
-		e.errSrc = make([]*rng.Source, in.N)
+		e.errSrc = make([]rng.Source, n)
 		for i, p := range in.ErrorProb {
 			if p > 0 {
-				e.errSrc[i] = root.Split(errStreamBase + uint64(i))
+				e.errSrc[i] = *root.Split(errStreamBase + uint64(i))
 			}
 		}
 	}
@@ -302,125 +346,87 @@ func NewEngine(in Inputs) (*Engine, error) {
 // SetObserver installs a trace observer; pass nil to remove it.
 func (e *Engine) SetObserver(o Observer) { e.observer = o }
 
-// Station exposes station i for inspection in tests and traces.
-func (e *Engine) Station(i int) *backoff.Station { return e.stations[i] }
+// Snapshot returns station i's backoff counters, for inspection in
+// tests and traces.
+func (e *Engine) Snapshot(i int) backoff.Snapshot { return e.snapshot(i, 0) }
+
+// snapshot returns station i's counters while an idle run of off slots
+// is still pending on bc. A station's contention window is the one of
+// its current stage (backoff.Station.Stage), so it is derived, not
+// stored.
+func (e *Engine) snapshot(i, off int) backoff.Snapshot {
+	stage := 0
+	if e.bpc[i] > 0 {
+		stage = min(e.bpc[i]-1, e.last[i])
+	}
+	return backoff.Snapshot{
+		CW:    e.cwTab[e.base[i]+stage],
+		DC:    e.dc[i],
+		BC:    e.bc[i] - off,
+		BPC:   e.bpc[i],
+		Stage: stage,
+	}
+}
+
+// window returns station i's contention window at the stage a redraw
+// with backoff procedure counter bpc enters.
+func (e *Engine) window(i, bpc int) int { return e.cwTab[e.base[i]+min(bpc, e.last[i])] }
+
+// redraw enters the stage addressed by bpc: it loads the stage's
+// deferral counter, advances BPC and returns a fresh backoff counter
+// drawn from station i's own stream (backoff.Station's redraw).
+func (e *Engine) redraw(i, bpc int) int {
+	idx := e.base[i] + min(bpc, e.last[i])
+	e.dc[i] = e.dcTab[idx]
+	e.bpc[i] = bpc + 1
+	e.redraws[i]++
+	return e.src[i].Backoff(e.cwTab[idx])
+}
 
 // Run executes the simulation until SimTime elapses and returns the
 // aggregated result. Run may be called once per Engine.
 func (e *Engine) Run() Result {
 	res := Result{Inputs: e.in, PerStation: make([]StationStats, e.in.N)}
 
-	// The first cycle's draws happen inside Start; its conditional
-	// expectation must be captured before they do.
+	// The first cycle's draws happen below; its conditional expectation
+	// must be captured before they do.
 	if e.ctrl != nil {
 		e.ctrl.predictInitial()
 	}
-	for i, s := range e.stations {
-		e.intents[i] = s.Start()
+	m := math.MaxInt
+	for i := range e.bc {
+		e.bc[i] = e.redraw(i, 0)
+		m = min(m, e.bc[i])
 	}
 
+	simTime, observed := e.in.SimTime, e.observer != nil
 	var t float64
-	for t <= e.in.SimTime {
-		e.txs = e.txs[:0]
-		for i, a := range e.intents {
-			if a == backoff.Transmit {
-				e.txs = append(e.txs, i)
+	k := 0 // idle slots elapsed since the last busy period, pending on bc
+	for t <= simTime {
+		// The next m slots are idle: every station defers until its BC
+		// runs out. Time advances one slot at a time (the horizon may
+		// cut the run), but the counters wait for the next busy pass.
+		for k = 0; k < m && t <= simTime; k++ {
+			if observed {
+				e.observe(t, Idle, k)
 			}
+			t += timing.SlotTime
 		}
-
-		var kind SlotKind
-		switch len(e.txs) {
-		case 0:
-			kind = Idle
-		case 1:
-			kind = Success
-			// Channel error: the lone transmission is lost without a
-			// collision. Decided before the observer fires so traces see
-			// the true slot kind; the draw comes from a dedicated
-			// stream, never the backoff streams, and only
-			// single-transmitter events consume it.
-			if w := e.txs[0]; e.errSrc != nil && e.errSrc[w] != nil && e.errSrc[w].Bernoulli(e.in.ErrorProb[w]) {
-				kind = FrameError
-			}
-		default:
-			kind = Collision
+		res.IdleSlots += int64(k)
+		if t > simTime {
+			break
 		}
-
-		if e.observer != nil {
-			for i, s := range e.stations {
-				e.snaps[i] = s.Snapshot()
-			}
-			e.observer.OnSlot(t, kind, e.txs, e.snaps)
-		}
-
-		switch kind {
-		case Idle:
-			if e.observer != nil {
-				// Traces must see every slot: step one at a time.
-				res.IdleSlots++
-				for i, s := range e.stations {
-					e.intents[i] = s.AfterIdle()
-				}
-				t += timing.SlotTime
-				break
-			}
-			fastForwardIdle(e.stations, e.intents, &t, e.in.SimTime, &res.IdleSlots)
-
-		case Success:
-			w := e.txs[0]
-			res.Successes++
-			res.PerStation[w].Successes++
-			res.PerStation[w].Attempts++
-			if e.ctrl != nil {
-				e.ctrl.predictNext(t+e.in.Ts, w)
-			}
-			for i, s := range e.stations {
-				e.intents[i] = s.AfterBusy(i == w, true)
-			}
-			t += e.in.Ts
-
-		case FrameError:
-			// The medium is busy for Ts either way (the frame was sent;
-			// the loss happens at the receiver), but the transmitter's
-			// ACK carries the all-blocks-errored indication, so its
-			// backoff advances to the next stage like a failure.
-			w := e.txs[0]
-			res.FrameErrors++
-			res.PerStation[w].Errored++
-			res.PerStation[w].Attempts++
-			if e.ctrl != nil {
-				e.ctrl.predictNext(t+e.in.Ts, -1)
-			}
-			for i, s := range e.stations {
-				e.intents[i] = s.AfterBusy(i == w, false)
-			}
-			t += e.in.Ts
-
-		case Collision:
-			res.CollisionEvents++
-			res.CollidedFrames += int64(len(e.txs))
-			for _, i := range e.txs {
-				e.txMask[i] = true
-				res.PerStation[i].Collided++
-				res.PerStation[i].Attempts++
-			}
-			if e.ctrl != nil {
-				e.ctrl.predictNext(t+e.in.Tc, -1)
-			}
-			for i, s := range e.stations {
-				e.intents[i] = s.AfterBusy(e.txMask[i], false)
-			}
-			for _, i := range e.txs {
-				e.txMask[i] = false
-			}
-			t += e.in.Tc
-		}
+		var d float64
+		d, m = e.busy(&res, t, k)
+		t += d
+		k = 0
 	}
 
 	res.Elapsed = t
-	for i, s := range e.stations {
-		res.PerStation[i].Deferrals = s.Deferrals()
-		res.PerStation[i].Redraws = s.Redraws()
+	for i := range e.bc {
+		e.bc[i] -= k
+		res.PerStation[i].Deferrals = e.deferrals[i]
+		res.PerStation[i].Redraws = e.redraws[i]
 	}
 	attempts := res.CollidedFrames + res.Successes + res.FrameErrors
 	if attempts > 0 {
@@ -433,30 +439,111 @@ func (e *Engine) Run() Result {
 	return res
 }
 
-// fastForwardIdle batches the provably idle run that begins at *t: when
-// every station defers, the next min(BC) slots are empty and consume no
-// randomness, so the per-station updates collapse into one AfterIdleN
-// call. The per-slot time accounting is replayed scalar-wise (one
-// SlotTime addition per slot) so the float accumulation — and the
-// SimTime stopping point — stays bit-identical to the slot-by-slot
-// loop. Generic over the backoff engine so the 1901 and DCF medium
-// loops share one provably common implementation.
-func fastForwardIdle[P backoff.Process](stations []P, intents []backoff.Action, t *float64, simTime float64, idleSlots *int64) {
-	m := stations[0].BC()
-	for _, s := range stations[1:] {
-		if bc := s.BC(); bc < m {
-			m = bc
+// busy runs the busy period starting at t, after an idle run of off
+// slots still pending on bc: the stations whose BC that run drained
+// transmit. It records the outcome and returns the period's duration
+// and the length of the idle run that follows (the new min BC).
+//
+// Every station's machine advances in one fused pass, following
+// backoff.Station.AfterBusy: a successful transmitter restarts at stage
+// 0; a station that transmitted or whose deferral counter ran out
+// redraws from its own stream (in station order, as the Station loop
+// draws); every other station pays one slot on both counters.
+//
+//plclint:noalloc
+func (e *Engine) busy(res *Result, t float64, off int) (float64, int) {
+	// Branch-free (a conditional move): every index is written, only
+	// transmitters advance the count.
+	txs, c := e.txs[:len(e.bc)], 0
+	for i, b := range e.bc {
+		txs[c] = i
+		if b == off {
+			c++
 		}
 	}
-	k := 0
-	for k < m && *t <= simTime {
-		*idleSlots++
-		*t += timing.SlotTime
-		k++
+	e.txs = txs[:c]
+
+	kind := Collision
+	if len(e.txs) == 1 {
+		kind = Success
+		// Channel error: the lone transmission is lost without a
+		// collision. Decided before the observer fires so traces see
+		// the true slot kind; the draw comes from a dedicated stream,
+		// never the backoff streams, and only single-transmitter events
+		// consume it.
+		if w, ep := e.txs[0], e.in.ErrorProb; ep != nil && ep[w] > 0 && e.errSrc[w].Bernoulli(ep[w]) {
+			kind = FrameError
+		}
 	}
-	for i, s := range stations {
-		intents[i] = s.AfterIdleN(k)
+	if e.observer != nil {
+		e.observe(t, kind, off)
 	}
+
+	winner := -1
+	d := e.in.Ts
+	switch kind {
+	case Success:
+		winner = e.txs[0]
+		res.Successes++
+		res.PerStation[winner].Successes++
+		res.PerStation[winner].Attempts++
+	case FrameError:
+		// The medium is busy for Ts either way (the frame was sent; the
+		// loss happens at the receiver), but the transmitter's ACK
+		// carries the all-blocks-errored indication, so its backoff
+		// advances to the next stage like a failure.
+		w := e.txs[0]
+		res.FrameErrors++
+		res.PerStation[w].Errored++
+		res.PerStation[w].Attempts++
+	case Collision:
+		d = e.in.Tc
+		res.CollisionEvents++
+		res.CollidedFrames += int64(len(e.txs))
+		for _, i := range e.txs {
+			res.PerStation[i].Collided++
+			res.PerStation[i].Attempts++
+		}
+	}
+	if e.ctrl != nil {
+		e.predictNext(t+d, winner, off)
+	}
+
+	if winner >= 0 {
+		e.bpc[winner] = 0
+	}
+	m := math.MaxInt
+	for i, b := range e.bc {
+		b -= off
+		switch {
+		case b == 0:
+			b = e.redraw(i, e.bpc[i])
+		case e.dc[i] == 0:
+			// Deferral: sensed busy with DC exhausted → next stage, no
+			// transmission attempt.
+			e.deferrals[i]++
+			b = e.redraw(i, e.bpc[i])
+		default:
+			b--
+			e.dc[i]--
+		}
+		e.bc[i] = b
+		m = min(m, b)
+	}
+	return d, m
+}
+
+// observe reports one medium event to the observer, with every
+// station's counters as they stand entering it (off idle slots pending).
+func (e *Engine) observe(t float64, kind SlotKind, off int) {
+	for i := range e.snaps {
+		e.snaps[i] = e.snapshot(i, off)
+	}
+	txs := e.txs
+	if kind == Idle {
+		txs = txs[:0]
+	}
+	e.observer.OnSlot(t, kind, txs, e.snaps)
 }
 
 // Sim1901 reproduces the published sim_1901 entry point: it builds an
