@@ -159,20 +159,16 @@ func BenchmarkSimulatorAgreement(b *testing.B) {
 	}
 }
 
-// BenchmarkModelSolvers compares the fixed-point strategies (the solver
-// ablation): damped iteration vs forced bisection.
+// BenchmarkModelSolvers measures the damped fixed point for ten
+// saturated CA1 stations. The sub-benchmark keeps its name so earlier
+// baselines stay comparable.
 func BenchmarkModelSolvers(b *testing.B) {
-	params := config.DefaultCA1()
+	groups := []model.LoadedGroup{{
+		Group: model.Group{N: 10, Params: config.DefaultCA1()}, Priority: config.CA1, Saturated: true,
+	}}
 	b.Run("damped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := model.Solve(10, params, model.Options{Damping: 0.25}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bisection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := model.Solve(10, params, model.Options{MaxIterations: 1}); err != nil {
+			if _, err := model.SolveLoaded(groups, model.DefaultTiming()); err != nil {
 				b.Fatal(err)
 			}
 		}

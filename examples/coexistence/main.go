@@ -78,12 +78,14 @@ func simulate(legacy, tuned config.Params) (float64, float64) {
 
 // analyze solves the heterogeneous fixed point for the same mix.
 func analyze(legacy, tuned config.Params) (float64, float64) {
-	groups := []model.Group{{N: perGroup, Params: legacy}, {N: perGroup, Params: tuned}}
-	pred, err := model.SolveHeterogeneous(groups, model.Options{})
+	sol, err := model.SolveLoaded([]model.LoadedGroup{
+		{Group: model.Group{N: perGroup, Params: legacy}, Priority: config.CA1, Saturated: true},
+		{Group: model.Group{N: perGroup, Params: tuned}, Priority: config.CA1, Saturated: true},
+	}, model.DefaultTiming())
 	if err != nil {
 		log.Fatal(err)
 	}
-	met := model.HeteroMetricsFor(pred, groups, model.DefaultTiming())
+	met := sol.Classes[0].Met
 	return met.PerStationThroughput[0], met.PerStationThroughput[1]
 }
 

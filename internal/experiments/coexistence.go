@@ -24,17 +24,16 @@ func Coexistence(boosted config.Params, nPerGroup int, simTime float64, seed uin
 		return nil, err
 	}
 	def := config.DefaultCA1()
-	groups := []model.Group{
-		{N: nPerGroup, Params: def},
-		{N: nPerGroup, Params: boosted},
-	}
 
-	// Model side.
-	pred, err := model.SolveHeterogeneous(groups, model.Options{})
+	// Model side: both groups saturated in one class.
+	sol, err := model.SolveLoaded([]model.LoadedGroup{
+		{Group: model.Group{N: nPerGroup, Params: def}, Priority: config.CA1, Saturated: true},
+		{Group: model.Group{N: nPerGroup, Params: boosted}, Priority: config.CA1, Saturated: true},
+	}, model.DefaultTiming())
 	if err != nil {
 		return nil, err
 	}
-	met := model.HeteroMetricsFor(pred, groups, model.DefaultTiming())
+	met, gamma := sol.Classes[0].Met, sol.Classes[0].Gamma
 
 	// Simulator side: stations 0..n-1 default, n..2n-1 boosted.
 	n := 2 * nPerGroup
@@ -67,8 +66,8 @@ func Coexistence(boosted config.Params, nPerGroup int, simTime float64, seed uin
 		Header: []string{"group", "config", "per-station thr (sim)", "per-station thr (model)",
 			"γ (model)"},
 	}
-	t.AddRow("legacy", fmt.Sprint(def.CW), f(perStationSim(0)), f(met.PerStationThroughput[0]), f(pred.Gamma[0]))
-	t.AddRow("boosted", fmt.Sprint(boosted.CW), f(perStationSim(1)), f(met.PerStationThroughput[1]), f(pred.Gamma[1]))
+	t.AddRow("legacy", fmt.Sprint(def.CW), f(perStationSim(0)), f(met.PerStationThroughput[0]), f(gamma[0]))
+	t.AddRow("boosted", fmt.Sprint(boosted.CW), f(perStationSim(1)), f(met.PerStationThroughput[1]), f(gamma[1]))
 	capture := perStationSim(1) / perStationSim(0)
 	t.AddRow("capture ratio", "boosted / legacy", f(capture), f(met.PerStationThroughput[1]/met.PerStationThroughput[0]), "—")
 	return t, nil

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/config"
-	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -40,11 +38,10 @@ func AccessDelay(ns []int, durationMicros float64, seed uint64) (*Table, error) 
 		}
 		sum := stats.Summarize(ds)
 
-		pred, err := model.Solve(n, config.DefaultCA1(), model.Options{})
+		met, err := analysisCA1(n)
 		if err != nil {
 			return point{}, err
 		}
-		met := model.MetricsFor(pred, n, model.DefaultTiming())
 		return point{
 			mean: sum.Mean, median: stats.Median(ds),
 			p95: stats.Quantile(ds, 0.95), model: met.MeanAccessDelay,
@@ -142,12 +139,11 @@ func ModelAccuracy(ns []int, simTime float64, seed uint64) (*Table, error) {
 		if err != nil {
 			return point{}, err
 		}
-		pred, err := model.Solve(n, config.DefaultCA1(), model.Options{})
+		met, err := analysisCA1(n)
 		if err != nil {
 			return point{}, err
 		}
-		met := model.MetricsFor(pred, n, model.DefaultTiming())
-		return point{sim: ev, pred: pred.Gamma, thr: met.NormalizedThroughput}, nil
+		return point{sim: ev, pred: met.CollisionProbability, thr: met.NormalizedThroughput}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ func ThroughputVsN(ns []int, simTime float64, seed uint64) (*Table, error) {
 		}
 		r1901 := e.Run()
 
-		_, met1901, err := model.Predict(n, config.DefaultCA1())
+		met1901, err := analysisCA1(n)
 		if err != nil {
 			return point{}, err
 		}
@@ -47,7 +47,7 @@ func ThroughputVsN(ns []int, simTime float64, seed uint64) (*Table, error) {
 			return point{}, err
 		}
 
-		pdcf, err := model.SolveDCF(n, config.Default80211(), model.Options{})
+		pdcf, err := model.SolveDCF(n, config.Default80211())
 		if err != nil {
 			return point{}, err
 		}

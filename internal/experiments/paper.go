@@ -203,6 +203,20 @@ type Figure2Point struct {
 	Measured   stats.Summary
 }
 
+// analysisCA1 is the analysis curve of the paper's figures: the fixed
+// point of N saturated stations on the CA1 defaults, as one saturated
+// group, with its time-based metrics (CollisionProbability is γ).
+func analysisCA1(n int) (model.Metrics, error) {
+	sol, err := model.SolveLoaded([]model.LoadedGroup{{
+		Group: model.Group{N: n, Params: config.DefaultCA1()}, Priority: config.CA1, Saturated: true,
+	}}, model.DefaultTiming())
+	if err != nil {
+		return model.Metrics{}, err
+	}
+	c := sol.Classes[0]
+	return model.MetricsFor(model.Prediction{Tau: c.Tau[0], Gamma: c.Gamma[0]}, n, model.DefaultTiming()), nil
+}
+
 // Figure2 reproduces the paper's validation figure: collision
 // probability versus the number of stations, from (a) the
 // finite-state-machine simulator, (b) the analytical model, and (c)
@@ -227,7 +241,7 @@ func Figure2(cfg Figure2Config) ([]Figure2Point, *Table, error) {
 		}
 		simP := eng.Run().CollisionProbability
 
-		pred, err := model.Solve(n, config.DefaultCA1(), model.Options{})
+		met, err := analysisCA1(n)
 		if err != nil {
 			return Figure2Point{}, err
 		}
@@ -241,7 +255,7 @@ func Figure2(cfg Figure2Config) ([]Figure2Point, *Table, error) {
 			measured = append(measured, tb.CollisionProbability(cfg.TestDurationMicros))
 		}
 		sum := stats.Summarize(measured)
-		return Figure2Point{N: n, Simulation: simP, Analysis: pred.Gamma, Measured: sum}, nil
+		return Figure2Point{N: n, Simulation: simP, Analysis: met.CollisionProbability, Measured: sum}, nil
 	})
 	if err != nil {
 		return nil, nil, err

@@ -15,20 +15,19 @@ import (
 //
 // A DCF stage visit with window W consumes on average (W−1)/2 backoff
 // slots plus one transmission slot and always ends in an attempt, so
-// x_i = 1 and E[T_i] = (W_i+1)/2 + ... precisely E[T_i] = (W_i−1)/2 + 1.
-func SolveDCF(n int, cfg config.DCF, opts Options) (Prediction, error) {
+// x_i = 1 and E[T_i] = (W_i−1)/2 + 1.
+func SolveDCF(n int, cfg config.DCF) (Prediction, error) {
 	if n < 1 {
 		return Prediction{}, fmt.Errorf("model: N=%d must be ≥ 1", n)
 	}
 	if err := cfg.Validate(); err != nil {
 		return Prediction{}, err
 	}
-	opts = opts.withDefaults()
 
 	m := cfg.Stages()
 	slotsAt := func(i int) float64 { return float64(cfg.Window(i)-1)/2 + 1 }
 
-	tauGivenGamma := func(gamma float64) (float64, []float64) {
+	tauGivenGamma := func(gamma float64) float64 {
 		// Visit rates: v_0 = 1; v_i = γ^i for i < m−1; the last stage
 		// absorbs the tail: v_{m−1} = γ^{m−1}/(1−γ).
 		v := make([]float64, m)
@@ -39,35 +38,25 @@ func SolveDCF(n int, cfg config.DCF, opts Options) (Prediction, error) {
 		if m > 1 && gamma < 1 {
 			v[m-1] /= 1 - gamma
 		}
-		var num, den, sum float64
+		var num, den float64
 		for i := 0; i < m; i++ {
 			num += v[i] // one attempt per visit
 			den += v[i] * slotsAt(i)
-			sum += v[i]
 		}
-		pi := make([]float64, m)
-		for i := range pi {
-			pi[i] = v[i] / sum
-		}
-		return num / den, pi
+		return num / den
 	}
 
 	if n == 1 {
-		tau, pi := tauGivenGamma(0)
-		return Prediction{Tau: tau, StageDistribution: pi}, nil
+		return Prediction{Tau: tauGivenGamma(0)}, nil
 	}
 
 	gammaOf := func(tau float64) float64 { return 1 - math.Pow(1-tau, float64(n-1)) }
 
 	tau := 0.1
-	var pi []float64
-	for it := 1; it <= opts.MaxIterations; it++ {
-		var next float64
-		next, pi = tauGivenGamma(gammaOf(tau))
-		newTau := tau + opts.Damping*(next-tau)
-		if math.Abs(newTau-tau) < opts.Tolerance {
-			g := gammaOf(newTau)
-			return Prediction{Tau: newTau, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: it}, nil
+	for it := 1; it <= maxIterations; it++ {
+		newTau := tau + damping*(tauGivenGamma(gammaOf(tau))-tau)
+		if math.Abs(newTau-tau) < tolerance {
+			return Prediction{Tau: newTau, Gamma: gammaOf(newTau), Iterations: it}, nil
 		}
 		tau = newTau
 	}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/config"
@@ -24,91 +23,12 @@ type Group struct {
 	ErrorProb float64
 }
 
-// HeteroPrediction is the multi-group fixed point: per-group attempt
-// probabilities and collision probabilities, plus derived per-group
-// throughput shares.
-type HeteroPrediction struct {
-	// Tau[i] is group i's per-slot attempt probability.
-	Tau []float64
-	// Gamma[i] is group i's conditional collision probability:
-	// 1 − Π_j (1−τ_j)^(n_j − [i=j]).
-	Gamma []float64
-	// Iterations used by the solver.
-	Iterations int
-}
-
-// SolveHeterogeneous extends the decoupling fixed point to multiple
-// station groups with different (cw, dc) configurations — the model
-// needed to analyze coexistence between boosted and default stations.
-// Each group's station solves the same renewal-reward equation as in
-// the homogeneous model, but against a busy probability composed from
-// every other station's attempt rate:
-//
-//	p_i = 1 − (1−τ_i)^(n_i−1) · Π_{j≠i} (1−τ_j)^(n_j)
-//
-// The joint fixed point is solved by damped simultaneous iteration.
-func SolveHeterogeneous(groups []Group, opts Options) (HeteroPrediction, error) {
-	if len(groups) == 0 {
-		return HeteroPrediction{}, fmt.Errorf("model: no groups")
-	}
-	total := 0
-	for i, g := range groups {
-		if g.N < 1 {
-			return HeteroPrediction{}, fmt.Errorf("model: group %d has N=%d", i, g.N)
-		}
-		if err := g.Params.Validate(); err != nil {
-			return HeteroPrediction{}, fmt.Errorf("model: group %d: %w", i, err)
-		}
-		if g.ErrorProb < 0 || g.ErrorProb > 1 || math.IsNaN(g.ErrorProb) {
-			return HeteroPrediction{}, fmt.Errorf("model: group %d: error probability %v outside [0, 1]", i, g.ErrorProb)
-		}
-		total += g.N
-	}
-	opts = opts.withDefaults()
-
-	k := len(groups)
-	if total == 1 {
-		// A lone station sees an idle medium: p = 0 exactly, mirroring
-		// the homogeneous solver's N=1 fast path (the damped iteration
-		// would only approach this value geometrically).
-		g := groups[0]
-		t, _ := tauGivenSucc(g.Params, 0, 1-g.ErrorProb)
-		return HeteroPrediction{Tau: []float64{t}, Gamma: []float64{0}, Iterations: 0}, nil
-	}
-	tau := make([]float64, k)
-	for i := range tau {
-		tau[i] = 0.1
-	}
-
-	next := make([]float64, k)
-	for it := 1; it <= opts.MaxIterations; it++ {
-		var maxDelta float64
-		for i, g := range groups {
-			p := gammaOf(tau, groups, i)
-			v, _ := tauGivenSucc(g.Params, p, (1-p)*(1-g.ErrorProb))
-			next[i] = tau[i] + opts.Damping*(v-tau[i])
-			if d := math.Abs(next[i] - tau[i]); d > maxDelta {
-				maxDelta = d
-			}
-		}
-		copy(tau, next)
-		if maxDelta < opts.Tolerance {
-			pred := HeteroPrediction{Tau: tau, Gamma: make([]float64, k), Iterations: it}
-			for i := range groups {
-				pred.Gamma[i] = gammaOf(tau, groups, i)
-			}
-			return pred, nil
-		}
-	}
-	return HeteroPrediction{}, ErrNoConvergence
-}
-
 // gammaOf is group i's conditional collision probability given the
 // current attempt rates: 1 − Π_j (1−τ_j)^(n_j − [i=j]). Runs of groups
 // sharing the same τ are collapsed into one math.Pow call with the
 // summed exponent, so that k identically configured groups — whose τ
 // stay equal throughout the iteration by symmetry — reproduce the
-// homogeneous solver's 1 − (1−τ)^(N−1) bit for bit.
+// one-group solution's 1 − (1−τ)^(N−1) bit for bit.
 func gammaOf(tau []float64, groups []Group, i int) float64 {
 	q := 1.0
 	for j := 0; j < len(tau); {
@@ -162,15 +82,17 @@ type HeteroMetrics struct {
 	AttemptRate, SuccessRate, CollidedRate, ErrorRate float64
 }
 
-// HeteroMetricsFor evaluates the time-based metrics of a heterogeneous
-// prediction. The per-slot delivery probability of a group-i station is
-// τ_i(1−γ_i)(1−e_i); the slot-duration composition follows the
-// homogeneous construction with the aggregate idle/busy probabilities
-// (an errored single-transmitter slot occupies Ts like a success).
-func HeteroMetricsFor(pred HeteroPrediction, groups []Group, tm Timing) HeteroMetrics {
+// heteroMetrics evaluates the time-based metrics of a heterogeneous
+// fixed point with per-group attempt rates tau and collision
+// probabilities gamma. The per-slot delivery probability of a group-i
+// station is τ_i(1−γ_i)(1−e_i); the slot-duration composition follows
+// the homogeneous construction with the aggregate idle/busy
+// probabilities (an errored single-transmitter slot occupies Ts like a
+// success).
+func heteroMetrics(tau, gamma []float64, groups []Group, tm Timing) HeteroMetrics {
 	pIdle := 1.0
 	for j, g := range groups {
-		pIdle *= math.Pow(1-pred.Tau[j], float64(g.N))
+		pIdle *= math.Pow(1-tau[j], float64(g.N))
 	}
 	var pSingle float64
 	m := HeteroMetrics{
@@ -179,12 +101,12 @@ func HeteroMetricsFor(pred HeteroPrediction, groups []Group, tm Timing) HeteroMe
 	}
 	groupSucc := make([]float64, len(groups))
 	for i, g := range groups {
-		a := float64(g.N) * pred.Tau[i]
-		s := a * (1 - pred.Gamma[i])
+		a := float64(g.N) * tau[i]
+		s := a * (1 - gamma[i])
 		groupSucc[i] = s * (1 - g.ErrorProb)
 		pSingle += s
 		m.AttemptRate += a
-		m.CollidedRate += a * pred.Gamma[i]
+		m.CollidedRate += a * gamma[i]
 		m.ErrorRate += s * g.ErrorProb
 		m.SuccessRate += groupSucc[i]
 	}

@@ -3,7 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/config"
 )
@@ -28,10 +27,6 @@ type LoadedGroup struct {
 	// exactly λ.
 	ArrivalRate float64
 }
-
-// saturatedOnly reports whether the group is the classic saturated
-// regime the plain heterogeneous solver covers.
-func (g LoadedGroup) saturatedOnly() bool { return g.Saturated }
 
 // silent reports whether the group never offers traffic.
 func (g LoadedGroup) silent() bool { return !g.Saturated && g.ArrivalRate == 0 }
@@ -85,19 +80,41 @@ func (s *LoadedSolution) ClassFor(p config.Priority) *ClassSolution {
 	return nil
 }
 
-// SolveLoaded extends the heterogeneous decoupling fixed point with an
-// offered-load (unsaturated) regime and strict 1901 priority classes.
+// guardEvery and guardIterations shape the extrapolation guard that
+// takes over once a class's damped (τ, a) iteration has spent
+// maxIterations steps: near a fold of the availability map (a jumping
+// from well below 1 to 1 under a tiny load change) the damped map
+// contracts at a rate ρ close to 1 and the plain loop can need several
+// times the cap. Every guardEvery steps past the cap the guard
+// measures ρ from two consecutive step norms and, when the steps are
+// shrinking, jumps to the geometric limit of the remaining steps; after
+// guardIterations more steps the class reports ErrNoConvergence. Inputs
+// that converge within the cap never reach it, so their output is the
+// plain damped iteration's bit for bit.
+const (
+	guardEvery      = 50
+	guardIterations = 2000
+)
+
+// SolveLoaded solves the 1901 decoupling fixed point for station
+// groups that may be saturated, Poisson-loaded or silent, in strict
+// priority classes.
 //
-// Within one class, each group carries an attempt-availability
-// probability a: the chance a station has a frame pending at a slot
-// boundary. The effective per-slot attempt probability is a·τ, which
-// replaces τ in the busy probability and the slot-state composition,
-// and a itself is pinned by flow conservation — a backlogged station
-// delivers τ(1−γ)(1−e) frames per virtual slot of mean duration E[σ],
-// so a = min(1, λ·E[σ]/(τ(1−γ)(1−e))) — giving a joint damped fixed
-// point in (τ, a). Saturated groups hold a = 1 (reducing exactly to
-// SolveHeterogeneous, to which an all-saturated class delegates) and
-// silent groups a = 0.
+// Each group's station solves the renewal-reward equation for τ against
+// a busy probability composed from every other station's effective
+// attempt rate:
+//
+//	γ_i = 1 − (1−a_i·τ_i)^(n_i−1) · Π_{j≠i} (1−a_j·τ_j)^(n_j)
+//
+// where a is the group's attempt availability: the chance a station has
+// a frame pending at a slot boundary. Saturated groups hold a = 1 (the
+// classic heterogeneous model, and with one group the homogeneous one),
+// silent groups a = 0, and a loaded group's a is pinned by flow
+// conservation — a backlogged station delivers τ(1−γ)(1−e) frames per
+// virtual slot of mean duration E[σ], so
+// a = min(1, λ·E[σ]/(τ(1−γ)(1−e))). The joint fixed point in (τ, a) is
+// solved by one damped simultaneous iteration; a lone saturated station
+// sees an idle medium and gets the exact p = 0 solution instead.
 //
 // Across classes, the priority-resolution phase is strict: a lower
 // class transmits only while no higher-class station is backlogged.
@@ -107,7 +124,7 @@ func (s *LoadedSolution) ClassFor(p config.Priority) *ClassSolution {
 // scaled by 1/F_c; a saturated (or overloaded) higher class starves
 // everything below it to exactly zero, matching the event-driven MAC's
 // frozen-backoff semantics.
-func SolveLoaded(groups []LoadedGroup, tm Timing, opts Options) (*LoadedSolution, error) {
+func SolveLoaded(groups []LoadedGroup, tm Timing) (*LoadedSolution, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("model: no groups")
 	}
@@ -132,24 +149,22 @@ func SolveLoaded(groups []LoadedGroup, tm Timing, opts Options) (*LoadedSolution
 		}
 	}
 
-	// Partition by class, highest priority first: higher classes are
+	// Walk the classes highest priority first: higher classes are
 	// oblivious to lower ones, so they solve first and hand their
 	// occupancies down.
-	byClass := map[config.Priority][]int{}
-	for i, g := range groups {
-		byClass[g.Priority] = append(byClass[g.Priority], i)
-	}
-	classes := make([]config.Priority, 0, len(byClass))
-	for p := range byClass {
-		classes = append(classes, p)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] > classes[j] })
-
 	out := &LoadedSolution{}
 	share := 1.0
-	for _, pri := range classes {
-		idx := byClass[pri]
-		cs, err := solveClass(pri, idx, groups, share, tm, opts)
+	for pri := int(config.CA3); pri >= int(config.CA0); pri-- {
+		var idx []int
+		for i, g := range groups {
+			if int(g.Priority) == pri {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) == 0 {
+			continue
+		}
+		cs, err := solveClass(config.Priority(pri), idx, groups, share, tm)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +180,7 @@ func SolveLoaded(groups []LoadedGroup, tm Timing, opts Options) (*LoadedSolution
 }
 
 // solveClass computes one class's fixed point over its wall-clock share.
-func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share float64, tm Timing, opts Options) (ClassSolution, error) {
+func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share float64, tm Timing) (ClassSolution, error) {
 	k := len(idx)
 	cs := ClassSolution{
 		Priority:     pri,
@@ -195,51 +210,33 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 	}
 
 	plain := make([]Group, k)
-	allSaturated := true
 	for i, gi := range idx {
 		plain[i] = groups[gi].Group
-		if !groups[gi].saturatedOnly() {
-			allSaturated = false
-		}
 	}
 
-	if allSaturated {
-		// The classic regime: delegate so an all-saturated class is bit
-		// for bit the plain heterogeneous solution.
-		pred, err := SolveHeterogeneous(plain, opts)
-		if err != nil {
-			return ClassSolution{}, fmt.Errorf("model: class %s: %w", pri, err)
-		}
-		copy(cs.Tau, pred.Tau)
-		copy(cs.Gamma, pred.Gamma)
-		for i := range cs.Availability {
-			cs.Availability[i] = 1
-		}
-		cs.Met = HeteroMetricsFor(pred, plain, tm)
-		cs.Iterations = pred.Iterations
+	if k == 1 && plain[0].N == 1 && groups[idx[0]].Saturated {
+		// A lone saturated station sees an idle medium: p = 0 exactly
+		// (the damped iteration would only approach it geometrically).
+		cs.Tau[0] = tauGivenSucc(plain[0].Params, 0, 1-plain[0].ErrorProb)
+		cs.Availability[0] = 1
+		cs.Met = heteroMetrics(cs.Tau, cs.Gamma, plain, tm)
 		return cs, nil
 	}
 
-	opts = opts.withDefaults()
-	tau := make([]float64, k)
-	avail := make([]float64, k)
+	tau, avail := cs.Tau, cs.Availability
 	for i, gi := range idx {
 		tau[i] = 0.1
-		switch {
-		case groups[gi].saturatedOnly():
-			avail[i] = 1
-		case groups[gi].silent():
-			avail[i] = 0
-		default:
-			avail[i] = 1 // start backlogged and relax downward
+		if !groups[gi].silent() {
+			avail[i] = 1 // saturated groups hold it; loaded ones relax downward
 		}
 	}
 
 	eff := make([]float64, k) // a·τ, the effective per-slot attempt rates
-	gam := make([]float64, k)
+	gam := cs.Gamma
 	nextTau := make([]float64, k)
 	nextAvail := make([]float64, k)
-	for it := 1; it <= opts.MaxIterations; it++ {
+	var prevDelta float64
+	for it := 1; it <= maxIterations+guardIterations; it++ {
 		for i := range idx {
 			eff[i] = avail[i] * tau[i]
 		}
@@ -265,14 +262,14 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 		var maxDelta float64
 		for i, gi := range idx {
 			g := groups[gi]
-			v, _ := tauGivenSucc(g.Params, gam[i], (1-gam[i])*(1-g.ErrorProb))
-			nextTau[i] = tau[i] + opts.Damping*(v-tau[i])
+			v := tauGivenSucc(g.Params, gam[i], (1-gam[i])*(1-g.ErrorProb))
+			nextTau[i] = tau[i] + damping*(v-tau[i])
 			if d := math.Abs(nextTau[i] - tau[i]); d > maxDelta {
 				maxDelta = d
 			}
 
 			nextAvail[i] = avail[i]
-			if !g.saturatedOnly() && !g.silent() {
+			if !g.Saturated && !g.silent() {
 				// Flow conservation: while backlogged the station
 				// completes τ(1−γ)(1−e) frames per slot of E[σ] µs, so
 				// its queue is busy the fraction λ·E[σ]/service — scaled
@@ -287,24 +284,34 @@ func solveClass(pri config.Priority, idx []int, groups []LoadedGroup, share floa
 						target = 1
 					}
 				}
-				nextAvail[i] = avail[i] + opts.Damping*(target-avail[i])
+				nextAvail[i] = avail[i] + damping*(target-avail[i])
 				if d := math.Abs(nextAvail[i] - avail[i]); d > maxDelta {
 					maxDelta = d
 				}
 			}
 		}
+		if it > maxIterations && (it-maxIterations)%guardEvery == 0 && maxDelta < prevDelta {
+			// Past the cap the steps shrink geometrically at ρ: jump to
+			// the limit x + Δ·ρ/(1−ρ) of the remaining steps, keeping
+			// each availability a probability.
+			r := maxDelta / prevDelta
+			f := r / (1 - r)
+			for i := range idx {
+				nextTau[i] += f * (nextTau[i] - tau[i])
+				nextAvail[i] = math.Min(1, math.Max(0, nextAvail[i]+f*(nextAvail[i]-avail[i])))
+			}
+		}
+		prevDelta = maxDelta
 		copy(tau, nextTau)
 		copy(avail, nextAvail)
-		if maxDelta < opts.Tolerance {
-			copy(cs.Tau, tau)
-			copy(cs.Availability, avail)
+		if maxDelta < tolerance {
 			for i := range idx {
 				eff[i] = avail[i] * tau[i]
 			}
 			for i := range idx {
-				cs.Gamma[i] = gammaOf(eff, plain, i)
+				gam[i] = gammaOf(eff, plain, i)
 			}
-			cs.Met = HeteroMetricsFor(HeteroPrediction{Tau: eff, Gamma: cs.Gamma}, plain, tm)
+			cs.Met = heteroMetrics(eff, gam, plain, tm)
 			cs.Iterations = it
 			return cs, nil
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/rng"
 )
 
 func loadedTiming() Timing { return DefaultTiming() }
@@ -25,51 +26,6 @@ func wallSuccessRate(cs *ClassSolution) float64 {
 		return 0
 	}
 	return cs.Share * cs.Met.SuccessRate / cs.Met.MeanSlotDuration
-}
-
-// TestLoadedAllSaturatedMatchesHeterogeneousBitForBit pins the
-// delegation: an all-saturated single-class input must reproduce the
-// plain heterogeneous solver exactly, so widening the model cannot move
-// a single bit of any previously answerable scenario.
-func TestLoadedAllSaturatedMatchesHeterogeneousBitForBit(t *testing.T) {
-	groups := []Group{
-		{N: 5, Params: config.Default1901(config.CA1), ErrorProb: 0.1},
-		{N: 3, Params: config.Default1901(config.CA3)},
-	}
-	loaded := make([]LoadedGroup, len(groups))
-	for i, g := range groups {
-		loaded[i] = LoadedGroup{Group: g, Priority: config.CA1, Saturated: true}
-	}
-	sol, err := SolveLoaded(loaded, loadedTiming(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := SolveHeterogeneous(groups, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := HeteroMetricsFor(pred, groups, loadedTiming())
-	cs := classOf(t, sol, config.CA1)
-	if cs.Share != 1 || cs.Starved {
-		t.Fatalf("single class must own the timeline: %+v", cs)
-	}
-	for i := range groups {
-		if cs.Tau[i] != pred.Tau[i] || cs.Gamma[i] != pred.Gamma[i] {
-			t.Fatalf("group %d fixed point moved: tau %v vs %v, gamma %v vs %v",
-				i, cs.Tau[i], pred.Tau[i], cs.Gamma[i], pred.Gamma[i])
-		}
-		if cs.Availability[i] != 1 {
-			t.Fatalf("saturated group %d availability = %v, want 1", i, cs.Availability[i])
-		}
-		if cs.Met.GroupThroughput[i] != want.GroupThroughput[i] {
-			t.Fatalf("group %d throughput moved: %v vs %v", i, cs.Met.GroupThroughput[i], want.GroupThroughput[i])
-		}
-	}
-	if cs.Met.TotalThroughput != want.TotalThroughput ||
-		cs.Met.CollisionProbability != want.CollisionProbability ||
-		cs.Met.MeanSlotDuration != want.MeanSlotDuration {
-		t.Fatalf("aggregate metrics moved:\n got %+v\nwant %+v", cs.Met, want)
-	}
 }
 
 // TestLoadedFlowConservation: a stable unsaturated station delivers
@@ -96,7 +52,7 @@ func TestLoadedFlowConservation(t *testing.T) {
 				Priority:    config.CA1,
 				ArrivalRate: tc.lam,
 			}
-			sol, err := SolveLoaded([]LoadedGroup{g}, tm, Options{})
+			sol, err := SolveLoaded([]LoadedGroup{g}, tm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,11 +85,11 @@ func TestLoadedOverloadSaturates(t *testing.T) {
 		Priority:  config.CA1,
 		Saturated: true,
 	}}
-	so, err := SolveLoaded(over, tm, Options{})
+	so, err := SolveLoaded(over, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := SolveLoaded(sat, tm, Options{})
+	ss, err := SolveLoaded(sat, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +112,7 @@ func TestLoadedThroughputMonotoneInLoad(t *testing.T) {
 	params := config.Default1901(config.CA1)
 	sat, err := SolveLoaded([]LoadedGroup{{
 		Group: Group{N: 10, Params: params}, Priority: config.CA1, Saturated: true,
-	}}, tm, Options{})
+	}}, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +121,7 @@ func TestLoadedThroughputMonotoneInLoad(t *testing.T) {
 	for _, lam := range []float64{1e-6, 4e-6, 1.6e-5, 6.4e-5, 2.56e-4, 1e-3, 4e-3} {
 		sol, err := SolveLoaded([]LoadedGroup{{
 			Group: Group{N: 10, Params: params}, Priority: config.CA1, ArrivalRate: lam,
-		}}, tm, Options{})
+		}}, tm)
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lam, err)
 		}
@@ -189,13 +145,13 @@ func TestLoadedSilentGroupIsInert(t *testing.T) {
 	mixed, err := SolveLoaded([]LoadedGroup{
 		{Group: Group{N: 6, Params: params}, Priority: config.CA1, Saturated: true},
 		{Group: Group{N: 4, Params: params}, Priority: config.CA1}, // silent
-	}, tm, Options{})
+	}, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	solo, err := SolveLoaded([]LoadedGroup{
 		{Group: Group{N: 6, Params: params}, Priority: config.CA1, Saturated: true},
-	}, tm, Options{})
+	}, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +177,7 @@ func TestLoadedPriorityStarvation(t *testing.T) {
 		{Group: Group{N: 3, Params: config.Default1901(config.CA3)}, Priority: config.CA3, Saturated: true},
 		{Group: Group{N: 5, Params: config.Default1901(config.CA1)}, Priority: config.CA1, Saturated: true},
 		{Group: Group{N: 2, Params: config.Default1901(config.CA1)}, Priority: config.CA0, ArrivalRate: 1e-4},
-	}, tm, Options{})
+	}, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +185,7 @@ func TestLoadedPriorityStarvation(t *testing.T) {
 	if top.Share != 1 || top.Starved {
 		t.Fatalf("highest class must own the timeline: %+v", top)
 	}
-	solo, err := SolveHeterogeneous([]Group{{N: 3, Params: config.Default1901(config.CA3)}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := solveSaturated(t, tm, Group{N: 3, Params: config.Default1901(config.CA3)})
 	if top.Tau[0] != solo.Tau[0] {
 		t.Fatalf("saturated top class must match its solo fixed point: %v vs %v", top.Tau[0], solo.Tau[0])
 	}
@@ -264,7 +217,7 @@ func TestLoadedPrioritySharing(t *testing.T) {
 		lo := LoadedGroup{
 			Group: Group{N: 5, Params: config.Default1901(config.CA1)}, Priority: config.CA1, Saturated: true,
 		}
-		sol, err := SolveLoaded([]LoadedGroup{hi, lo}, tm, Options{})
+		sol, err := SolveLoaded([]LoadedGroup{hi, lo}, tm)
 		if err != nil {
 			t.Fatalf("λ=%v: %v", lam, err)
 		}
@@ -284,5 +237,102 @@ func TestLoadedPrioritySharing(t *testing.T) {
 			t.Fatalf("λ=%v: low-class share %v did not shrink from %v", lam, bot.Share, prevShare)
 		}
 		prevShare = bot.Share
+	}
+}
+
+// randomLoadedInput draws one SolveLoaded input: 1–6 groups of 1–20
+// stations, each in a random class with the Table 1 defaults or a
+// random table from TestFixedPointSanityProperty's space, an error
+// probability of 0, U[0, 1) or 1, and saturated, silent or (half the
+// groups) Poisson traffic with λ log-uniform in [10⁻⁶, 10⁻²] frames/µs.
+func randomLoadedInput(r *rng.Source) []LoadedGroup {
+	groups := make([]LoadedGroup, 1+r.Intn(6))
+	for i := range groups {
+		g := &groups[i]
+		g.Priority = config.Priority(r.Intn(4))
+		g.N = 1 + r.Intn(20)
+		if r.Intn(2) == 0 {
+			g.Params = config.Default1901(g.Priority)
+		} else {
+			w0, d0 := 2+r.Intn(63), r.Intn(16)
+			g.Params = config.Params{CW: []int{w0, 2 * w0, 4 * w0, 8 * w0}, DC: []int{d0, d0 + 1, d0 + 3, d0 + 15}}
+		}
+		switch r.Intn(3) {
+		case 1:
+			g.ErrorProb = r.Float64()
+		case 2:
+			g.ErrorProb = 1
+		}
+		switch r.Intn(4) {
+		case 0:
+			g.Saturated = true
+		case 1: // silent
+		default:
+			g.ArrivalRate = math.Pow(10, -6+4*r.Float64())
+		}
+	}
+	return groups
+}
+
+// TestLoadedInvariantsProperty: on seeded random inputs every class
+// solution converges and stays a probability model — τ in (0, 1], γ
+// and a in [0, 1], finite metrics whose slot probabilities sum to 1 —
+// and a starved class reports exactly zero.
+//
+// Near-fold inputs, which the damped iteration alone cannot finish
+// within maxIterations, are rare under this generator (about 1 in
+// 400,000 draws). Seed 31's 20,000 draws include one (input 10729, a
+// CA2 class of 20 loaded stations) that needs 10,043 steps, so a
+// solver that gives up at maxIterations fails this test.
+func TestLoadedInvariantsProperty(t *testing.T) {
+	r := rng.New(31)
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for k := 0; k < 20000; k++ {
+		groups := randomLoadedInput(r)
+		sol, err := SolveLoaded(groups, DefaultTiming())
+		if err != nil {
+			t.Fatalf("input %d %+v: %v", k, groups, err)
+		}
+		for _, cs := range sol.Classes {
+			bad := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("input %d %+v class %s: "+format, append([]any{k, groups, cs.Priority}, args...)...)
+			}
+			m := cs.Met
+			if cs.Starved {
+				for i := range cs.Tau {
+					if cs.Tau[i] != 0 || cs.Gamma[i] != 0 || m.GroupThroughput[i] != 0 || m.PerStationThroughput[i] != 0 {
+						bad("starved class not zero: %+v", cs)
+					}
+				}
+				for _, v := range []float64{m.TotalThroughput, m.MeanSlotDuration, m.CollisionProbability,
+					m.SlotIdle, m.SlotSingle, m.SlotCollision, m.AttemptRate, m.SuccessRate, m.CollidedRate, m.ErrorRate} {
+					if v != 0 {
+						bad("starved class metrics not zero: %+v", m)
+					}
+				}
+				continue
+			}
+			for i := range cs.Tau {
+				if !(cs.Tau[i] > 0 && cs.Tau[i] <= 1) {
+					bad("τ[%d] = %v outside (0, 1]", i, cs.Tau[i])
+				}
+				if !(cs.Gamma[i] >= 0 && cs.Gamma[i] <= 1) || !(cs.Availability[i] >= 0 && cs.Availability[i] <= 1) {
+					bad("γ[%d] = %v, a[%d] = %v outside [0, 1]", i, cs.Gamma[i], i, cs.Availability[i])
+				}
+				if !finite(m.GroupThroughput[i]) || !finite(m.PerStationThroughput[i]) {
+					bad("non-finite group metrics %+v", m)
+				}
+			}
+			for _, v := range []float64{m.TotalThroughput, m.MeanSlotDuration, m.CollisionProbability,
+				m.SlotIdle, m.SlotSingle, m.SlotCollision, m.AttemptRate, m.SuccessRate, m.CollidedRate, m.ErrorRate} {
+				if !finite(v) {
+					bad("non-finite metrics %+v", m)
+				}
+			}
+			if s := m.SlotIdle + m.SlotSingle + m.SlotCollision; math.Abs(s-1) > 1e-9 {
+				bad("slot probabilities sum to %v", s)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package model
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/config"
@@ -82,7 +81,8 @@ func Stage(w, d int, p float64) StageQuantities {
 	return StageQuantities{Attempt: attempt * inv, Slots: slots * inv}
 }
 
-// Prediction is the model's output for one scenario.
+// Prediction is a homogeneous fixed point: the attempt and collision
+// probabilities of N identical saturated stations.
 type Prediction struct {
 	// Tau is the per-virtual-slot transmission attempt probability τ.
 	Tau float64
@@ -90,53 +90,25 @@ type Prediction struct {
 	// γ = 1 − (1−τ)^(N−1); with the all-frames-acked accounting of the
 	// paper's measurements this is also the predicted ΣCᵢ/ΣAᵢ.
 	Gamma float64
-	// BusyProbability is p, equal to Gamma under the decoupling
-	// assumption (any other station transmits).
-	BusyProbability float64
-	// StageDistribution π_i is the stationary fraction of stage visits
-	// spent at each backoff stage.
-	StageDistribution []float64
 	// Iterations used by the fixed-point solver.
 	Iterations int
 }
 
-// Options tune the fixed-point solver. The zero value asks for defaults.
-type Options struct {
-	// Damping in (0,1]: fraction of the new iterate mixed in per step.
-	// Default 0.25 — the map is a contraction for all Table 1 configs,
-	// but heavy damping keeps exotic boosting candidates convergent.
-	Damping float64
-	// Tolerance on |τ' − τ|. Default 1e-12.
-	Tolerance float64
-	// MaxIterations before falling back to bisection. Default 10000.
-	MaxIterations int
-}
+// The damped fixed-point iteration every solver runs: each step mixes
+// damping of the new iterate into the old one, and the loop stops once
+// no component moves by tolerance or more. Heavy damping keeps exotic
+// boosting candidates convergent; every Table 1 configuration converges
+// in well under a hundred steps.
+const (
+	damping       = 0.25
+	tolerance     = 1e-12
+	maxIterations = 10000
+)
 
-func (o Options) withDefaults() Options {
-	if o.Damping <= 0 || o.Damping > 1 {
-		o.Damping = 0.25
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-12
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 10000
-	}
-	return o
-}
-
-// ErrNoConvergence is returned when neither damped iteration nor the
-// bisection fallback reaches the tolerance (practically unreachable for
-// valid inputs; kept for API honesty).
+// ErrNoConvergence is returned when the damped iteration (and, for the
+// 1901 model, its post-cap extrapolation guard) does not reach the
+// tolerance.
 var ErrNoConvergence = errors.New("model: fixed point did not converge")
-
-// tauGivenP evaluates the renewal-reward attempt rate τ(p) for a station
-// running params against a medium busy with probability p per slot and
-// an error-free channel: an attempt succeeds exactly when it does not
-// collide, so the per-attempt success probability is 1−γ = 1−p.
-func tauGivenP(params config.Params, p float64) (tau float64, pi []float64) {
-	return tauGivenSucc(params, p, 1-p)
-}
 
 // tauGivenSucc evaluates the renewal-reward attempt rate τ for a station
 // running params against a medium busy with probability p per slot, when
@@ -149,13 +121,13 @@ func tauGivenP(params config.Params, p float64) (tau float64, pi []float64) {
 // Stage chain: a visit to stage i ends in an attempt w.p. x_i. An
 // attempt succeeds w.p. succ (→ stage 0) and fails otherwise (→ next
 // stage); a deferral jump also moves to the next stage; the last stage
-// re-enters itself. The chain's visit distribution π solves
+// re-enters itself. The chain's visit rates v solve
 //
-//	π_0 = Σ_i π_i·x_i·succ,  π_i = π_{i−1}·(1 − x_{i−1}·succ) (i<m−1)
-//	π_{m−1} = π_{m−2}·(1−x_{m−2}·succ) / (x_{m−1}·succ)  [self-loop]
+//	v_0 = Σ_i v_i·x_i·succ,  v_i = v_{i−1}·(1 − x_{i−1}·succ) (i<m−1)
+//	v_{m−1} = v_{m−2}·(1−x_{m−2}·succ) / (x_{m−1}·succ)  [self-loop]
 //
-// and τ = Σπ_i·x_i / Σπ_i·E[T_i].
-func tauGivenSucc(params config.Params, p, succ float64) (tau float64, pi []float64) {
+// and τ = Σv_i·x_i / Σv_i·E[T_i].
+func tauGivenSucc(params config.Params, p, succ float64) float64 {
 	m := params.Stages()
 	sq := make([]StageQuantities, m)
 	for i := 0; i < m; i++ {
@@ -176,94 +148,25 @@ func tauGivenSucc(params config.Params, p, succ float64) (tau float64, pi []floa
 		// v[m-1] counts only first entries per cycle; the total visit
 		// rate scales by expected visits per entry, 1/escape. When the
 		// station can never leave the last stage (escape = 0, or so
-		// small the division overflows), the visit distribution
-		// concentrates there and the renewal-reward ratio has the
-		// defined limit τ = x_{m−1}/E[T_{m−1}] — return it explicitly
-		// instead of letting ±Inf/Inf produce NaN.
+		// small the division overflows), the visits concentrate there
+		// and the renewal-reward ratio has the defined limit
+		// τ = x_{m−1}/E[T_{m−1}] — return it explicitly instead of
+		// letting ±Inf/Inf produce NaN.
 		if escape <= 0 || math.IsInf(v[m-1]/escape, 0) {
-			pi = make([]float64, m)
-			pi[m-1] = 1
-			return sq[m-1].Attempt / sq[m-1].Slots, pi
+			return sq[m-1].Attempt / sq[m-1].Slots
 		}
 		v[m-1] /= escape
 	}
 
-	var num, den, sum float64
+	var num, den float64
 	for i := 0; i < m; i++ {
 		num += v[i] * sq[i].Attempt
 		den += v[i] * sq[i].Slots
-		sum += v[i]
-	}
-	pi = make([]float64, m)
-	for i := range pi {
-		pi[i] = v[i] / sum
 	}
 	if den == 0 {
-		return 1, pi // every stage attempts immediately (all CW = 1)
+		return 1 // every stage attempts immediately (all CW = 1)
 	}
-	return num / den, pi
-}
-
-// Solve computes the model's fixed point for N stations running params.
-func Solve(n int, params config.Params, opts Options) (Prediction, error) {
-	if n < 1 {
-		return Prediction{}, fmt.Errorf("model: N=%d must be ≥ 1", n)
-	}
-	if err := params.Validate(); err != nil {
-		return Prediction{}, err
-	}
-	opts = opts.withDefaults()
-
-	if n == 1 {
-		// No contention: p = 0 exactly.
-		tau, pi := tauGivenP(params, 0)
-		return Prediction{Tau: tau, Gamma: 0, BusyProbability: 0, StageDistribution: pi, Iterations: 0}, nil
-	}
-
-	pOfTau := func(tau float64) float64 {
-		return 1 - math.Pow(1-tau, float64(n-1))
-	}
-
-	// Damped fixed-point iteration on τ.
-	tau := 0.1
-	var pi []float64
-	for it := 1; it <= opts.MaxIterations; it++ {
-		p := pOfTau(tau)
-		var next float64
-		next, pi = tauGivenP(params, p)
-		newTau := tau + opts.Damping*(next-tau)
-		if math.Abs(newTau-tau) < opts.Tolerance {
-			tau = newTau
-			g := pOfTau(tau)
-			return Prediction{Tau: tau, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: it}, nil
-		}
-		tau = newTau
-	}
-
-	// Bisection fallback on f(τ) = τ(p(τ)) − τ, which is positive at
-	// τ→0⁺ and negative at τ→1⁻ for any contention-creating config.
-	lo, hi := 1e-9, 1-1e-9
-	f := func(t float64) float64 {
-		v, _ := tauGivenP(params, pOfTau(t))
-		return v - t
-	}
-	flo := f(lo)
-	for it := 0; it < 200; it++ {
-		mid := (lo + hi) / 2
-		fm := f(mid)
-		if math.Abs(hi-lo) < opts.Tolerance {
-			tau = mid
-			_, pi = tauGivenP(params, pOfTau(tau))
-			g := pOfTau(tau)
-			return Prediction{Tau: tau, Gamma: g, BusyProbability: g, StageDistribution: pi, Iterations: opts.MaxIterations + it}, nil
-		}
-		if (fm >= 0) == (flo >= 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return Prediction{}, ErrNoConvergence
+	return num / den
 }
 
 // Metrics derived from a prediction for a concrete slot/frame timing.
@@ -328,14 +231,4 @@ func MetricsFor(pred Prediction, n int, tm Timing) Metrics {
 		m.MeanAccessDelay = es / rate
 	}
 	return m
-}
-
-// Predict is the one-call convenience used by the experiment harness:
-// fixed point plus metrics for the default timing.
-func Predict(n int, params config.Params) (Prediction, Metrics, error) {
-	pred, err := Solve(n, params, Options{})
-	if err != nil {
-		return Prediction{}, Metrics{}, err
-	}
-	return pred, MetricsFor(pred, n, DefaultTiming()), nil
 }

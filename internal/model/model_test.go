@@ -143,28 +143,36 @@ func TestStageMonotoneInBusyProbability(t *testing.T) {
 	}
 }
 
+// TestSolveSingleStation: a lone saturated station sees an idle medium.
 func TestSolveSingleStation(t *testing.T) {
-	pred, err := Solve(1, config.DefaultCA1(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Gamma != 0 || pred.BusyProbability != 0 {
-		t.Errorf("N=1: γ=%v p=%v, want 0", pred.Gamma, pred.BusyProbability)
+	cs := solveSaturated(t, DefaultTiming(), Group{N: 1, Params: config.DefaultCA1()})
+	if cs.Gamma[0] != 0 {
+		t.Errorf("N=1: γ=%v, want 0", cs.Gamma[0])
 	}
 	// With p=0, the CA1 station cycles at stage 0: τ = 1/E[T_0] =
 	// 1/((8−1)/2 + 1) = 1/4.5.
 	want := 1 / 4.5
-	if math.Abs(pred.Tau-want) > 1e-9 {
-		t.Errorf("N=1: τ=%v, want %v", pred.Tau, want)
+	if math.Abs(cs.Tau[0]-want) > 1e-9 {
+		t.Errorf("N=1: τ=%v, want %v", cs.Tau[0], want)
 	}
 }
 
+// TestSolveErrors rejects malformed per-group load and priority.
 func TestSolveErrors(t *testing.T) {
-	if _, err := Solve(0, config.DefaultCA1(), Options{}); err == nil {
-		t.Error("N=0 accepted")
-	}
-	if _, err := Solve(2, config.Params{}, Options{}); err == nil {
-		t.Error("invalid params accepted")
+	ca1 := config.DefaultCA1()
+	for _, tc := range []struct {
+		name  string
+		group LoadedGroup
+	}{
+		{"invalid priority", LoadedGroup{Group: Group{N: 2, Params: ca1}, Priority: 4, Saturated: true}},
+		{"negative load", LoadedGroup{Group: Group{N: 2, Params: ca1}, ArrivalRate: -1}},
+		{"NaN load", LoadedGroup{Group: Group{N: 2, Params: ca1}, ArrivalRate: math.NaN()}},
+		{"infinite load", LoadedGroup{Group: Group{N: 2, Params: ca1}, ArrivalRate: math.Inf(1)}},
+		{"saturated with load", LoadedGroup{Group: Group{N: 2, Params: ca1}, Saturated: true, ArrivalRate: 1e-4}},
+	} {
+		if _, err := SolveLoaded([]LoadedGroup{tc.group}, DefaultTiming()); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -175,19 +183,16 @@ func TestFigure2ModelShape(t *testing.T) {
 	prev := -1.0
 	var g2, g7 float64
 	for n := 1; n <= 7; n++ {
-		pred, err := Solve(n, config.DefaultCA1(), Options{})
-		if err != nil {
-			t.Fatal(err)
+		g := solveSaturated(t, DefaultTiming(), Group{N: n, Params: config.DefaultCA1()}).Gamma[0]
+		if g <= prev {
+			t.Errorf("N=%d: γ=%v not increasing", n, g)
 		}
-		if pred.Gamma <= prev {
-			t.Errorf("N=%d: γ=%v not increasing", n, pred.Gamma)
-		}
-		prev = pred.Gamma
+		prev = g
 		if n == 2 {
-			g2 = pred.Gamma
+			g2 = g
 		}
 		if n == 7 {
-			g7 = pred.Gamma
+			g7 = g
 		}
 	}
 	if g2 < 0.05 || g2 > 0.15 {
@@ -198,44 +203,21 @@ func TestFigure2ModelShape(t *testing.T) {
 	}
 }
 
-func TestStageDistributionIsDistribution(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 10} {
-		pred, err := Solve(n, config.DefaultCA1(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum float64
-		for _, v := range pred.StageDistribution {
-			if v < -1e-12 {
-				t.Errorf("N=%d: negative stage probability %v", n, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("N=%d: stage distribution sums to %v", n, sum)
-		}
-	}
-}
-
-func TestMoreStationsPushToHigherStages(t *testing.T) {
-	p2, _ := Solve(2, config.DefaultCA1(), Options{})
-	p10, _ := Solve(10, config.DefaultCA1(), Options{})
-	if p10.StageDistribution[0] >= p2.StageDistribution[0] {
-		t.Errorf("stage-0 occupancy did not shrink with N: %v → %v",
-			p2.StageDistribution[0], p10.StageDistribution[0])
-	}
-	last := len(p2.StageDistribution) - 1
-	if p10.StageDistribution[last] <= p2.StageDistribution[last] {
-		t.Errorf("last-stage occupancy did not grow with N: %v → %v",
-			p2.StageDistribution[last], p10.StageDistribution[last])
+// TestWiderWindowsLowerGamma: the CW tradeoff of Section 2 in model
+// terms — wider contention windows must lower the predicted collision
+// probability.
+func TestWiderWindowsLowerGamma(t *testing.T) {
+	wide := config.Params{Name: "wide", CW: []int{64, 128, 256, 512}, DC: []int{0, 1, 3, 15}}
+	gWide := solveSaturated(t, DefaultTiming(), Group{N: 5, Params: wide}).Gamma[0]
+	gDef := solveSaturated(t, DefaultTiming(), Group{N: 5, Params: config.DefaultCA1()}).Gamma[0]
+	if gWide >= gDef {
+		t.Errorf("wider windows γ %v not below the CA1 defaults' %v", gWide, gDef)
 	}
 }
 
 func TestMetricsForConsistency(t *testing.T) {
-	pred, err := Solve(5, config.DefaultCA1(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := solveSaturated(t, DefaultTiming(), Group{N: 5, Params: config.DefaultCA1()})
+	pred := Prediction{Tau: cs.Tau[0], Gamma: cs.Gamma[0]}
 	m := MetricsFor(pred, 5, DefaultTiming())
 	if s := m.SlotIdle + m.SlotSuccess + m.SlotCollision; math.Abs(s-1) > 1e-9 {
 		t.Errorf("slot probabilities sum to %v", s)
@@ -251,45 +233,6 @@ func TestMetricsForConsistency(t *testing.T) {
 	}
 }
 
-func TestPredictConvenience(t *testing.T) {
-	pred, met, err := Predict(3, config.DefaultCA1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Tau <= 0 || met.NormalizedThroughput <= 0 {
-		t.Error("Predict returned degenerate values")
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Damping <= 0 || o.Damping > 1 || o.Tolerance <= 0 || o.MaxIterations <= 0 {
-		t.Errorf("withDefaults produced %+v", o)
-	}
-	o2 := Options{Damping: 2, Tolerance: -1, MaxIterations: -5}.withDefaults()
-	if o2.Damping > 1 || o2.Tolerance <= 0 || o2.MaxIterations <= 0 {
-		t.Errorf("withDefaults did not repair invalid options: %+v", o2)
-	}
-}
-
-// TestSolverAgreementDampingVsBisection: the two solution strategies
-// must land on the same fixed point (solver ablation from DESIGN.md).
-func TestSolverAgreementDampingVsBisection(t *testing.T) {
-	params := config.DefaultCA1()
-	damped, err := Solve(5, params, Options{Damping: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force bisection by allowing almost no iterations.
-	bisect, err := Solve(5, params, Options{MaxIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(damped.Tau-bisect.Tau) > 1e-6 {
-		t.Errorf("damped τ=%v vs bisection τ=%v", damped.Tau, bisect.Tau)
-	}
-}
-
 // Property: the fixed point exists, lies in (0,1), and γ < 1 for any
 // sane configuration and station count.
 func TestFixedPointSanityProperty(t *testing.T) {
@@ -301,17 +244,12 @@ func TestFixedPointSanityProperty(t *testing.T) {
 			CW: []int{w0, w0 * 2, w0 * 4, w0 * 8},
 			DC: []int{d0, d0 + 1, d0 + 3, d0 + 15},
 		}
-		pred, err := Solve(n, params, Options{})
+		sol, err := SolveLoaded([]LoadedGroup{{Group: Group{N: n, Params: params}, Saturated: true}}, DefaultTiming())
 		if err != nil {
 			return false
 		}
-		if pred.Tau <= 0 || pred.Tau > 1 {
-			return false
-		}
-		if pred.Gamma < 0 || pred.Gamma >= 1 {
-			return false
-		}
-		return true
+		cs := sol.Classes[0]
+		return cs.Tau[0] > 0 && cs.Tau[0] <= 1 && cs.Gamma[0] >= 0 && cs.Gamma[0] < 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -320,13 +258,13 @@ func TestFixedPointSanityProperty(t *testing.T) {
 
 func TestSolveDCFBaseline(t *testing.T) {
 	cfg := config.Default80211()
-	if _, err := SolveDCF(0, cfg, Options{}); err == nil {
+	if _, err := SolveDCF(0, cfg); err == nil {
 		t.Error("N=0 accepted")
 	}
-	if _, err := SolveDCF(2, config.DCF{CWmin: 0, CWmax: 4}, Options{}); err == nil {
+	if _, err := SolveDCF(2, config.DCF{CWmin: 0, CWmax: 4}); err == nil {
 		t.Error("invalid DCF accepted")
 	}
-	p1, err := SolveDCF(1, cfg, Options{})
+	p1, err := SolveDCF(1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +274,7 @@ func TestSolveDCFBaseline(t *testing.T) {
 	}
 	prev := -1.0
 	for _, n := range []int{2, 5, 10, 20} {
-		p, err := SolveDCF(n, cfg, Options{})
+		p, err := SolveDCF(n, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,15 +292,12 @@ func TestSolveDCFBaseline(t *testing.T) {
 // crossover is the signature of the deferral mechanism.
 func TestAggressivenessCrossover(t *testing.T) {
 	tau := func(n int) (float64, float64) {
-		p1901, err := Solve(n, config.DefaultCA1(), Options{})
+		cs := solveSaturated(t, DefaultTiming(), Group{N: n, Params: config.DefaultCA1()})
+		pdcf, err := SolveDCF(n, config.Default80211())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pdcf, err := SolveDCF(n, config.Default80211(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p1901.Tau, pdcf.Tau
+		return cs.Tau[0], pdcf.Tau
 	}
 	for _, n := range []int{1, 2} {
 		t1901, tdcf := tau(n)
@@ -433,90 +368,48 @@ func TestStageRecurrenceProperty(t *testing.T) {
 // whose last stage can never be left (per-attempt success probability
 // 0, as a boost candidate sweep can propose via a busy probability that
 // rounds to 1, or a channel error probability of 1) must get the
-// defined limit τ = x_{m−1}/E[T_{m−1}] with the visit distribution
-// concentrated on the last stage — not the NaN the old
+// defined limit τ = x_{m−1}/E[T_{m−1}] — not the NaN the old
 // divide-by-SmallestNonzeroFloat64 overflow produced.
 func TestTauGivenSuccDegenerate(t *testing.T) {
 	params := config.DefaultCA1()
-	tau, pi := tauGivenSucc(params, 1, 0)
+	tau := tauGivenSucc(params, 1, 0)
 	m := params.Stages()
 	last := Stage(params.CW[m-1], params.DC[m-1], 1)
 	if want := last.Attempt / last.Slots; math.Abs(tau-want) > 1e-12 || math.IsNaN(tau) {
 		t.Errorf("degenerate τ = %v, want x/E[T] = %v", tau, want)
 	}
-	for i, v := range pi {
-		want := 0.0
-		if i == m-1 {
-			want = 1
-		}
-		if v != want {
-			t.Errorf("degenerate π[%d] = %v, want %v", i, v, want)
-		}
-	}
 	// Near-degenerate: an escape probability small enough that the old
 	// code overflowed v[m−1] to +Inf must also stay finite.
-	tau, pi = tauGivenSucc(params, 1, 1e-320)
+	tau = tauGivenSucc(params, 1, 1e-320)
 	if math.IsNaN(tau) || math.IsInf(tau, 0) || tau <= 0 {
 		t.Errorf("near-degenerate τ = %v", tau)
-	}
-	for i, v := range pi {
-		if math.IsNaN(v) {
-			t.Errorf("near-degenerate π[%d] = NaN", i)
-		}
-	}
-}
-
-// TestSolveBisectionSurvivesSaturatedBusyProbability forces the
-// bisection fallback at a station count large enough that the upper
-// bracket's busy probability rounds to exactly 1 — the regime where the
-// old degenerate handling returned NaN and poisoned the bracket.
-func TestSolveBisectionSurvivesSaturatedBusyProbability(t *testing.T) {
-	pred, err := Solve(40, config.DefaultCA1(), Options{MaxIterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(pred.Tau) || pred.Tau <= 0 || pred.Tau > 1 {
-		t.Errorf("bisection τ = %v", pred.Tau)
-	}
-	damped, err := Solve(40, config.DefaultCA1(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pred.Tau-damped.Tau) > 1e-6 {
-		t.Errorf("bisection τ %v disagrees with damped τ %v", pred.Tau, damped.Tau)
 	}
 }
 
 // TestHeterogeneousMatchesHomogeneousBitForBit: splitting N identical
-// stations into k groups must reproduce the homogeneous fixed point
+// stations into k groups must reproduce the one-group fixed point
 // exactly — the equality the model scenario engine's determinism
 // guarantee leans on.
 func TestHeterogeneousMatchesHomogeneousBitForBit(t *testing.T) {
 	params := config.DefaultCA1()
-	for _, split := range [][]int{{1}, {5}, {2, 3}, {1, 1, 3}, {1, 2, 3, 4}} {
+	tm := DefaultTiming()
+	for _, split := range [][]int{{1, 1}, {2, 3}, {1, 1, 3}, {1, 2, 3, 4}} {
 		n := 0
 		groups := make([]Group, len(split))
 		for i, c := range split {
 			groups[i] = Group{N: c, Params: params}
 			n += c
 		}
-		homo, err := Solve(n, params, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hetero, err := SolveHeterogeneous(groups, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		one := solveSaturated(t, tm, Group{N: n, Params: params})
+		parts := solveSaturated(t, tm, groups...)
 		for i := range groups {
-			if hetero.Tau[i] != homo.Tau {
-				t.Errorf("split %v: group %d τ = %v, homogeneous τ = %v (must be bit-identical)",
-					split, i, hetero.Tau[i], homo.Tau)
+			if parts.Tau[i] != one.Tau[0] || parts.Gamma[i] != one.Gamma[0] {
+				t.Errorf("split %v: group %d (τ, γ) = (%v, %v), one group (%v, %v) (must be bit-identical)",
+					split, i, parts.Tau[i], parts.Gamma[i], one.Tau[0], one.Gamma[0])
 			}
-			if hetero.Gamma[i] != homo.Gamma {
-				t.Errorf("split %v: group %d γ = %v, homogeneous γ = %v (must be bit-identical)",
-					split, i, hetero.Gamma[i], homo.Gamma)
-			}
+		}
+		if parts.Iterations != one.Iterations {
+			t.Errorf("split %v: %d iterations, one group %d", split, parts.Iterations, one.Iterations)
 		}
 	}
 }
@@ -527,23 +420,14 @@ func TestHeterogeneousMatchesHomogeneousBitForBit(t *testing.T) {
 // delivered throughput.
 func TestHeteroErrorProbability(t *testing.T) {
 	params := config.DefaultCA1()
-	clean, err := SolveHeterogeneous([]Group{{N: 5, Params: params}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanMet := HeteroMetricsFor(clean, []Group{{N: 5, Params: params}}, DefaultTiming())
-
-	noisyGroups := []Group{{N: 5, Params: params, ErrorProb: 0.2}}
-	noisy, err := SolveHeterogeneous(noisyGroups, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisyMet := HeteroMetricsFor(noisy, noisyGroups, DefaultTiming())
-	if noisyMet.TotalThroughput >= cleanMet.TotalThroughput*0.9 {
+	tm := DefaultTiming()
+	clean := solveSaturated(t, tm, Group{N: 5, Params: params})
+	noisy := solveSaturated(t, tm, Group{N: 5, Params: params, ErrorProb: 0.2})
+	if noisy.Met.TotalThroughput >= clean.Met.TotalThroughput*0.9 {
 		t.Errorf("20%% frame loss left throughput at %v (clean %v)",
-			noisyMet.TotalThroughput, cleanMet.TotalThroughput)
+			noisy.Met.TotalThroughput, clean.Met.TotalThroughput)
 	}
-	if noisyMet.ErrorRate <= 0 {
+	if noisy.Met.ErrorRate <= 0 {
 		t.Error("no error rate predicted despite error_prob = 0.2")
 	}
 	// Errors advance the backoff stage like collisions, so the noisy
@@ -552,86 +436,60 @@ func TestHeteroErrorProbability(t *testing.T) {
 		t.Errorf("errors raised τ: %v > %v", noisy.Tau[0], clean.Tau[0])
 	}
 
-	dead := []Group{{N: 3, Params: params, ErrorProb: 1}}
-	pred, err := SolveHeterogeneous(dead, Options{})
-	if err != nil {
-		t.Fatal(err)
+	dead := solveSaturated(t, tm, Group{N: 3, Params: params, ErrorProb: 1})
+	if math.IsNaN(dead.Tau[0]) || dead.Tau[0] <= 0 {
+		t.Errorf("e=1 τ = %v", dead.Tau[0])
 	}
-	if math.IsNaN(pred.Tau[0]) || pred.Tau[0] <= 0 {
-		t.Errorf("e=1 τ = %v", pred.Tau[0])
-	}
-	met := HeteroMetricsFor(pred, dead, DefaultTiming())
-	if met.TotalThroughput != 0 {
-		t.Errorf("e=1 delivered throughput %v, want 0", met.TotalThroughput)
-	}
-	if _, err := SolveHeterogeneous([]Group{{N: 2, Params: params, ErrorProb: 1.5}}, Options{}); err == nil {
-		t.Error("error probability 1.5 accepted")
+	if dead.Met.TotalThroughput != 0 {
+		t.Errorf("e=1 delivered throughput %v, want 0", dead.Met.TotalThroughput)
 	}
 }
 
-// TestHeteroSingleStationFastPath: one lone station must get the exact
-// p = 0 solution (Iterations 0), matching the homogeneous N=1 path.
+// TestHeteroSingleStationFastPath: a lone saturated station gets the
+// exact p = 0 solution without iterating (Iterations 0, γ exactly 0),
+// channel errors included; a lone loaded station runs the damped loop.
 func TestHeteroSingleStationFastPath(t *testing.T) {
-	homo, err := Solve(1, config.DefaultCA1(), Options{})
+	params := config.DefaultCA1()
+	lone := solveSaturated(t, DefaultTiming(), Group{N: 1, Params: params, ErrorProb: 0.2})
+	if lone.Iterations != 0 || lone.Gamma[0] != 0 || lone.Tau[0] != tauGivenSucc(params, 0, 0.8) {
+		t.Errorf("single-station fast path: %+v", lone)
+	}
+	sol, err := SolveLoaded([]LoadedGroup{{Group: Group{N: 1, Params: params}, ArrivalRate: 1e-4}}, DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hetero, err := SolveHeterogeneous([]Group{{N: 1, Params: config.DefaultCA1()}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hetero.Iterations != 0 || hetero.Tau[0] != homo.Tau || hetero.Gamma[0] != 0 {
-		t.Errorf("single-station fast path: %+v vs homogeneous τ %v", hetero, homo.Tau)
-	}
-}
-
-func TestSolveHeterogeneousReducesToHomogeneous(t *testing.T) {
-	// One group of N must reproduce the homogeneous fixed point.
-	for _, n := range []int{2, 5, 10} {
-		homo, err := Solve(n, config.DefaultCA1(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hetero, err := SolveHeterogeneous([]Group{{N: n, Params: config.DefaultCA1()}}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(homo.Tau-hetero.Tau[0]) > 1e-9 {
-			t.Errorf("N=%d: hetero τ %v ≠ homo τ %v", n, hetero.Tau[0], homo.Tau)
-		}
-		if math.Abs(homo.Gamma-hetero.Gamma[0]) > 1e-9 {
-			t.Errorf("N=%d: hetero γ %v ≠ homo γ %v", n, hetero.Gamma[0], homo.Gamma)
-		}
+	if cs := sol.Classes[0]; cs.Iterations == 0 || cs.Gamma[0] != 0 {
+		t.Errorf("lone loaded station: %+v", cs)
 	}
 }
 
 func TestSolveHeterogeneousSplitGroupsEqualOneGroup(t *testing.T) {
 	// Two groups with identical params must behave as one big group.
-	one, err := SolveHeterogeneous([]Group{{N: 6, Params: config.DefaultCA1()}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := SolveHeterogeneous([]Group{
-		{N: 3, Params: config.DefaultCA1()},
-		{N: 3, Params: config.DefaultCA1()},
-	}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tm := DefaultTiming()
+	one := solveSaturated(t, tm, Group{N: 6, Params: config.DefaultCA1()})
+	two := solveSaturated(t, tm, Group{N: 3, Params: config.DefaultCA1()}, Group{N: 3, Params: config.DefaultCA1()})
 	if math.Abs(one.Tau[0]-two.Tau[0]) > 1e-9 || math.Abs(two.Tau[0]-two.Tau[1]) > 1e-9 {
 		t.Errorf("split groups diverged: %v vs %v", one.Tau, two.Tau)
 	}
 }
 
+// TestSolveHeterogeneousValidation rejects malformed groups.
 func TestSolveHeterogeneousValidation(t *testing.T) {
-	if _, err := SolveHeterogeneous(nil, Options{}); err == nil {
+	if _, err := SolveLoaded(nil, DefaultTiming()); err == nil {
 		t.Error("no groups accepted")
 	}
-	if _, err := SolveHeterogeneous([]Group{{N: 0, Params: config.DefaultCA1()}}, Options{}); err == nil {
-		t.Error("empty group accepted")
-	}
-	if _, err := SolveHeterogeneous([]Group{{N: 2, Params: config.Params{}}}, Options{}); err == nil {
-		t.Error("invalid params accepted")
+	for _, tc := range []struct {
+		name  string
+		group Group
+	}{
+		{"empty group", Group{N: 0, Params: config.DefaultCA1()}},
+		{"invalid params", Group{N: 2}},
+		{"error probability 1.5", Group{N: 2, Params: config.DefaultCA1(), ErrorProb: 1.5}},
+		{"NaN error probability", Group{N: 2, Params: config.DefaultCA1(), ErrorProb: math.NaN()}},
+	} {
+		if _, err := SolveLoaded([]LoadedGroup{{Group: tc.group, Saturated: true}}, DefaultTiming()); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -640,31 +498,22 @@ func TestHeterogeneousAggressiveGroupWins(t *testing.T) {
 	// more and take a larger per-station share.
 	aggressive := config.Params{Name: "small", CW: []int{4, 8, 16, 32}, DC: []int{1 << 20, 1 << 20, 1 << 20, 1 << 20}}
 	polite := config.Params{Name: "large", CW: []int{64, 128, 256, 512}, DC: []int{1 << 20, 1 << 20, 1 << 20, 1 << 20}}
-	groups := []Group{{N: 3, Params: polite}, {N: 3, Params: aggressive}}
-	pred, err := SolveHeterogeneous(groups, Options{})
-	if err != nil {
-		t.Fatal(err)
+	cs := solveSaturated(t, DefaultTiming(), Group{N: 3, Params: polite}, Group{N: 3, Params: aggressive})
+	if cs.Tau[1] <= cs.Tau[0] {
+		t.Errorf("aggressive τ %v not above polite %v", cs.Tau[1], cs.Tau[0])
 	}
-	if pred.Tau[1] <= pred.Tau[0] {
-		t.Errorf("aggressive τ %v not above polite %v", pred.Tau[1], pred.Tau[0])
-	}
-	met := HeteroMetricsFor(pred, groups, DefaultTiming())
-	if met.PerStationThroughput[1] <= met.PerStationThroughput[0] {
+	if cs.Met.PerStationThroughput[1] <= cs.Met.PerStationThroughput[0] {
 		t.Errorf("aggressive share %v not above polite %v",
-			met.PerStationThroughput[1], met.PerStationThroughput[0])
+			cs.Met.PerStationThroughput[1], cs.Met.PerStationThroughput[0])
 	}
-	if met.TotalThroughput <= 0 || met.TotalThroughput >= 1 {
-		t.Errorf("total throughput %v", met.TotalThroughput)
+	if cs.Met.TotalThroughput <= 0 || cs.Met.TotalThroughput >= 1 {
+		t.Errorf("total throughput %v", cs.Met.TotalThroughput)
 	}
 }
 
 func TestHeteroMetricsConsistency(t *testing.T) {
 	groups := []Group{{N: 2, Params: config.DefaultCA1()}, {N: 2, Params: config.Default1901(config.CA3)}}
-	pred, err := SolveHeterogeneous(groups, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met := HeteroMetricsFor(pred, groups, DefaultTiming())
+	met := solveSaturated(t, DefaultTiming(), groups...).Met
 	var sum float64
 	for i, g := range groups {
 		if met.PerStationThroughput[i]*float64(g.N)-met.GroupThroughput[i] > 1e-12 {

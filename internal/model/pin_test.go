@@ -49,6 +49,20 @@ func dumpValue(v reflect.Value) string {
 	}
 }
 
+// solveSaturated solves one class of saturated groups.
+func solveSaturated(t *testing.T, tm Timing, groups ...Group) *ClassSolution {
+	t.Helper()
+	loaded := make([]LoadedGroup, len(groups))
+	for i, g := range groups {
+		loaded[i] = LoadedGroup{Group: g, Priority: config.CA1, Saturated: true}
+	}
+	sol, err := SolveLoaded(loaded, tm)
+	if err != nil {
+		t.Fatalf("%+v: %v", groups, err)
+	}
+	return &sol.Classes[0]
+}
+
 type pinConfig struct {
 	n      int
 	params config.Params
@@ -68,22 +82,20 @@ func pinConfigs() []pinConfig {
 	return out
 }
 
-// TestModelPin pins every solver output — the homogeneous fixed point
-// with its metrics, split and noisy heterogeneous classes, every
-// ClassSolution field of the loaded priority model and the 802.11 DCF
-// baseline — at full float precision. Solver refactors must leave the
-// golden byte-identical.
+// TestModelPin pins every solver output — one saturated group with
+// MetricsFor, split and noisy saturated classes, every ClassSolution
+// field of the loaded priority model and the 802.11 DCF baseline — at
+// full float precision. Solver refactors must leave the golden
+// byte-identical.
 func TestModelPin(t *testing.T) {
 	var out bytes.Buffer
 	tm := DefaultTiming()
 
 	homogeneous := func(tag string, n int, params config.Params) {
-		pred, err := Solve(n, params, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
+		cs := solveSaturated(t, tm, Group{N: n, Params: params})
+		pred := Prediction{Tau: cs.Tau[0], Gamma: cs.Gamma[0]}
 		fmt.Fprintf(&out, "solve %s n=%d tau=%s gamma=%s iter=%d %s\n",
-			tag, n, ff(pred.Tau), ff(pred.Gamma), pred.Iterations, dump(MetricsFor(pred, n, tm)))
+			tag, n, ff(pred.Tau), ff(pred.Gamma), cs.Iterations, dump(MetricsFor(pred, n, tm)))
 	}
 	for _, pri := range []config.Priority{config.CA0, config.CA1, config.CA2, config.CA3} {
 		for n := 1; n <= 40; n++ {
@@ -120,13 +132,10 @@ func TestModelPin(t *testing.T) {
 		{"e8-polite-4", []Group{{N: 4, Params: ca1}, {N: 4, Params: polite}}},
 	}
 	for _, c := range heteroCases {
-		pred, err := SolveHeterogeneous(c.groups, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", c.tag, err)
-		}
+		cs := solveSaturated(t, tm, c.groups...)
 		fmt.Fprintf(&out, "hetero %s tau=%s gamma=%s iter=%d %s\n", c.tag,
-			dumpValue(reflect.ValueOf(pred.Tau)), dumpValue(reflect.ValueOf(pred.Gamma)),
-			pred.Iterations, dump(HeteroMetricsFor(pred, c.groups, tm)))
+			dumpValue(reflect.ValueOf(cs.Tau)), dumpValue(reflect.ValueOf(cs.Gamma)),
+			cs.Iterations, dump(cs.Met))
 	}
 
 	sat := func(n int, p config.Params, pri config.Priority, e float64) LoadedGroup {
@@ -163,7 +172,7 @@ func TestModelPin(t *testing.T) {
 		{"lone-loaded-errors", []LoadedGroup{poisson(1, ca1, config.CA1, 0.2, 1e-4)}},
 	}
 	for _, c := range loadedCases {
-		sol, err := SolveLoaded(c.groups, tm, Options{})
+		sol, err := SolveLoaded(c.groups, tm)
 		if err != nil {
 			t.Fatalf("%s: %v", c.tag, err)
 		}
@@ -173,7 +182,7 @@ func TestModelPin(t *testing.T) {
 	}
 
 	for n := 1; n <= 20; n++ {
-		pred, err := SolveDCF(n, config.Default80211(), Options{})
+		pred, err := SolveDCF(n, config.Default80211())
 		if err != nil {
 			t.Fatalf("dcf n=%d: %v", n, err)
 		}

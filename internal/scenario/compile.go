@@ -361,7 +361,7 @@ func RunOnce(p Point, seed uint64) ([]Metric, error) {
 // classic saturated path exactly (Share is 1), so widening the model
 // moved no previously answerable number.
 func modelMetrics(pl *ModelPlan) ([]Metric, error) {
-	sol, err := model.SolveLoaded(pl.Groups, pl.Timing, model.Options{})
+	sol, err := model.SolveLoaded(pl.Groups, pl.Timing)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: model point: %w", err)
 	}

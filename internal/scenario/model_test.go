@@ -487,3 +487,47 @@ func TestCompareReportShape(t *testing.T) {
 		t.Error("Compare accepted a mac-only spec")
 	}
 }
+
+// nearFoldSpec is 14 loaded CA3 stations whose load sits ~0.05% below a
+// fold of the model's availability map, where a backlogged station's
+// availability jumps from ≈0.74 to 1 and the damped iteration contracts
+// at ρ ≈ 0.997 — slower than its step cap allows.
+func nearFoldSpec(meanInterarrival string) string {
+	return `{"name":"near-fold","engine":"model","sim_time_us":5e7,"stations":[{"count":14,"priority":"CA3",` +
+		`"cw":[48,96,192,384],"dc":[4,5,7,19],"traffic":{"kind":"poisson","mean_interarrival_us":` + meanInterarrival + `}}]}`
+}
+
+// TestModelNearFoldConverges: a spec just below the fold answers like its
+// neighbouring loads instead of failing with a non-converged fixed point,
+// and delivered throughput stays monotone in the offered load across it.
+func TestModelNearFoldConverges(t *testing.T) {
+	thr := func(mean string) float64 {
+		t.Helper()
+		spec, err := Parse([]byte(nearFoldSpec(mean)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := RunOnce(c.Points[0], 1)
+		if err != nil {
+			t.Fatalf("mean interarrival %s µs: %v", mean, err)
+		}
+		for _, x := range m {
+			if math.IsNaN(x.Value) || math.IsInf(x.Value, 0) || x.Value < 0 {
+				t.Fatalf("mean interarrival %s µs: %s = %v", mean, x.Name, x.Value)
+			}
+			if x.Name == "norm_throughput" {
+				return x.Value
+			}
+		}
+		t.Fatal("no norm_throughput metric")
+		return 0
+	}
+	heavier, fold, lighter := thr("41800"), thr("41949"), thr("42000")
+	if !(heavier >= fold && fold >= lighter) {
+		t.Errorf("throughput not monotone in load across the fold: %v, %v, %v", heavier, fold, lighter)
+	}
+}

@@ -80,6 +80,29 @@ func TestPredictSynchronous(t *testing.T) {
 	}
 }
 
+// TestPredictNearFold: a model spec just below a fold of the loaded
+// fixed point (where the damped iteration alone exceeds its step cap)
+// answers 200 instead of a 400 for a non-converged solve.
+func TestPredictNearFold(t *testing.T) {
+	s := mustNew(t, Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const spec = `{"name":"near-fold","engine":"model","sim_time_us":5e7,"stations":[{"count":14,"priority":"CA3",` +
+		`"cw":[48,96,192,384],"dc":[4,5,7,19],"traffic":{"kind":"poisson","mean_interarrival_us":41949}}]}`
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(`{"spec":`+spec+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("near-fold predict: code=%d body=%s", resp.StatusCode, buf.Bytes())
+	}
+}
+
 // TestPredictForcesModelEngine: a sim-engine spec predicts fine (the
 // engine is overridden), while a mac-only spec is a 400 naming the
 // unsupported feature.
