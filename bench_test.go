@@ -265,6 +265,40 @@ func BenchmarkMACNetworkLoaded(b *testing.B) {
 	}
 }
 
+// macGridCampaign is the fixed-reps mac grid of the benchmark's campaign
+// workload: one Poisson group, mean inter-arrival 5,000–50,000 µs × N ∈
+// {2, 4, 8}, 3e7 µs per replication, 4 reps per point.
+const macGridCampaign = `{"name":"bench-mac-grid","base":{"name":"bench-mac-grid-base","engine":"mac",` +
+	`"sim_time_us":3e7,"seed":1,"stations":[{"count":1,"traffic":{"kind":"poisson","mean_interarrival_us":20000}}]},` +
+	`"axes":[{"path":"stations[0].traffic.mean_interarrival_us","values":[5000,10000,20000,50000]},` +
+	`{"path":"n","values":[2,4,8]}],"reps":4}`
+
+// BenchmarkMACGrid runs the 12-point mac grid on one worker — the
+// in-tree A/B target for the event-driven engine under Poisson load,
+// from underloaded to overloaded points. It reports replications per
+// op and simulated µs per wall-clock ns.
+func BenchmarkMACGrid(b *testing.B) {
+	spec, err := campaign.Parse([]byte(macGridCampaign))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := campaign.Compile(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var reps int
+	for i := 0; i < b.N; i++ {
+		rep, err := campaign.Run(c, campaign.Opts{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reps += rep.SimulatedReps
+	}
+	b.ReportMetric(float64(reps)/float64(b.N), "reps/op")
+	b.ReportMetric(float64(reps)*3e7/float64(b.Elapsed().Nanoseconds()), "simulated-µs/ns")
+}
+
 // noopSlotObserver makes sim.Engine stop at every idle slot (any
 // observer does) without doing any work, so the two arms of
 // BenchmarkEngineIdleFastForward compare the batched loop against the

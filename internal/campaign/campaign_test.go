@@ -292,6 +292,22 @@ func TestCompileRejectsBadPath(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsMacNOverTEISpace checks that a campaign "n" point
+// beyond the mac engine's TEI space fails at compile time, naming it.
+func TestCompileRejectsMacNOverTEISpace(t *testing.T) {
+	s := Spec{
+		Name: "tei",
+		Base: scenario.Spec{Name: "tei-base", Engine: scenario.EngineMac, SimTimeMicros: 1e5,
+			Stations: []scenario.Group{{Count: 1}}},
+		Axes: []Axis{{Path: "n", Values: rawVals(t, 2, 300)}},
+		Reps: 1,
+	}
+	_, err := Compile(s)
+	if err == nil || !strings.Contains(err.Error(), "= 300 transmitters exceed the mac engine's TEI space") {
+		t.Errorf("n = 300 on the mac engine: error %v, want the TEI space named", err)
+	}
+}
+
 func TestCompileRejectsUnknownTargetMetric(t *testing.T) {
 	s := Spec{
 		Name:    "bad-target",

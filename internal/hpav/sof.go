@@ -12,6 +12,11 @@ import (
 // network. Delimiters carry TEIs, not MACs.
 type TEI uint8
 
+// MaxTransmitters is how many transmitters a strip with one destination
+// can address. TEI 0 is unassigned and TEI 255 is the broadcast TEI; the
+// destination holds TEI 1, which leaves TEIs 2–254.
+const MaxTransmitters = 253
+
 // DelimiterType distinguishes the 1901 frame-control delimiters.
 type DelimiterType uint8
 

@@ -27,6 +27,7 @@ package mac
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/hpav"
@@ -52,37 +53,79 @@ type LinkCounters struct {
 // Counters is a station's firmware counter block. It is safe for
 // concurrent use: the simulation goroutine writes while management
 // tooling (ampstat over UDP) reads.
+//
+// The mutex guards the key → bucket map; the bucket counters are
+// atomic. The medium resolves a flow's buckets once (link) and then
+// adds to them without the mutex until Reset or ResetAll bumps the
+// block's generation, which makes every cached bucket stale.
 type Counters struct {
-	mu sync.Mutex
-	m  map[LinkKey]*LinkCounters
+	mu  sync.Mutex
+	m   map[LinkKey]*linkBucket
+	gen atomic.Uint64
+}
+
+// linkBucket is the live storage of one LinkKey's counters.
+type linkBucket struct {
+	acked, collided atomic.Uint64
+}
+
+// cachedLink is a bucket pointer resolved at generation gen of its
+// counter block; the zero value is unresolved.
+type cachedLink struct {
+	b   *linkBucket
+	gen uint64
 }
 
 // NewCounters returns an empty counter block.
 func NewCounters() *Counters {
-	return &Counters{m: make(map[LinkKey]*LinkCounters)}
+	c := &Counters{m: make(map[LinkKey]*linkBucket)}
+	c.gen.Store(1) // generation 0 marks an unresolved cachedLink
+	return c
 }
 
-func (c *Counters) bucket(k LinkKey) *LinkCounters {
+// bucket returns k's bucket, creating it; c.mu must be held.
+func (c *Counters) bucket(k LinkKey) *linkBucket {
 	b := c.m[k]
 	if b == nil {
-		b = &LinkCounters{}
+		b = &linkBucket{}
 		c.m[k] = b
 	}
 	return b
+}
+
+// link returns k's bucket through the cache l, resolving it again only
+// when the block was reset since l was filled. An add racing a reset
+// may land in the bucket the reset just dropped, which orders the add
+// before the reset; sequential callers always see every add.
+//
+//plclint:noalloc
+func (c *Counters) link(k LinkKey, l *cachedLink) *linkBucket {
+	if l.gen == c.gen.Load() {
+		return l.b
+	}
+	return c.resolve(k, l)
+}
+
+// resolve fills l with k's bucket at the current generation.
+func (c *Counters) resolve(k LinkKey, l *cachedLink) *linkBucket {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	l.b, l.gen = c.bucket(k), c.gen.Load()
+	return l.b
 }
 
 // AddAcked increments the acknowledged-MPDU counter of a link.
 func (c *Counters) AddAcked(k LinkKey, n uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bucket(k).Acked += n
+	c.bucket(k).acked.Add(n)
 }
 
 // AddCollided increments the collided-MPDU counter of a link.
 func (c *Counters) AddCollided(k LinkKey, n uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bucket(k).Collided += n
+	c.bucket(k).collided.Add(n)
 }
 
 // Fetch returns the current counters of a link (zeros if never used).
@@ -90,7 +133,7 @@ func (c *Counters) Fetch(k LinkKey) LinkCounters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b := c.m[k]; b != nil {
-		return *b
+		return LinkCounters{Acked: b.acked.Load(), Collided: b.collided.Load()}
 	}
 	return LinkCounters{}
 }
@@ -102,13 +145,15 @@ func (c *Counters) Reset(k LinkKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.m, k)
+	c.gen.Add(1)
 }
 
 // ResetAll clears every bucket.
 func (c *Counters) ResetAll() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[LinkKey]*LinkCounters)
+	c.m = make(map[LinkKey]*linkBucket)
+	c.gen.Add(1)
 }
 
 // Keys returns the populated link keys in a deterministic order, for

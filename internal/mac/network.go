@@ -154,6 +154,10 @@ type Network struct {
 	// those classes.
 	perClass  [numClasses]ClassStats
 	classSeen uint8
+	// wake is the earliest Station.wake: until the clock reaches it, no
+	// empty flow can gain traffic, so the stations' pending masks stay
+	// exact between events without asking any flow.
+	wake float64
 
 	beaconPeriod float64
 	nextBeacon   float64
@@ -315,10 +319,42 @@ func (n *Network) Run(duration float64) {
 		panic(fmt.Sprintf("mac: Run(%v): duration must be positive and finite", duration))
 	}
 	end := n.clock + duration
+	n.start()
 	for n.clock < end {
 		n.step(end)
 	}
 	n.stats.Elapsed = n.clock
+}
+
+// start resolves each flow's destination, drops its cached counter
+// buckets and marks every station due for a refresh before a run:
+// stations, flows and specs may have changed since the last one.
+func (n *Network) start() {
+	for _, s := range n.stations {
+		for _, f := range s.flows {
+			f.dst = n.byTEI[f.Spec.Dst]
+			f.tx, f.rx = cachedLink{}, cachedLink{}
+		}
+		s.wake = math.Inf(-1)
+	}
+	n.wakeUp(n.clock)
+}
+
+// wakeUp refreshes the stations whose wake time the clock has reached —
+// one of their empty flows may have gained traffic — and recomputes the
+// network's wake time.
+//
+//plclint:noalloc
+func (n *Network) wakeUp(now float64) {
+	n.wake = inf
+	for _, s := range n.stations {
+		if s.wake <= now {
+			s.refresh(now)
+		}
+		if s.wake < n.wake {
+			n.wake = s.wake
+		}
+	}
 }
 
 // step executes one medium event. It is the steady-state loop
@@ -336,15 +372,21 @@ func (n *Network) step(end float64) {
 		return
 	}
 
+	// Pending state changes only when an empty flow gains an arrival
+	// (the clock reaches the wake time) or a transmission takes a frame
+	// (success refreshes the winner), so the masks are refreshed only
+	// then.
+	if n.wake <= now {
+		n.wakeUp(now)
+	}
+
 	// Priority resolution: each station that intends to contend
 	// signals its class in the two priority-resolution slots; the tone
 	// protocol elects the highest contending class and every lower
-	// class defers (its engines freeze). One pass over the flows yields
-	// each station's pending-class mask, which also answers the
-	// contender test below.
+	// class defers (its engines freeze). Each station's pending-class
+	// mask also answers the contender test below.
 	classes := n.classScratch[:0]
 	for _, s := range n.stations {
-		s.pending = s.pendingMask(now)
 		if s.pending != 0 {
 			classes = append(classes, config.Priority(bits.Len8(s.pending)-1))
 		}
@@ -353,13 +395,9 @@ func (n *Network) step(end float64) {
 	activeClass, anyPending := ResolvePriority(classes)
 
 	if !anyPending {
-		// Fast-forward to the next arrival (or the run's end).
-		next := end
-		for _, s := range n.stations {
-			if t := s.nextArrival(now); t < next {
-				next = t
-			}
-		}
+		// Fast-forward to the next arrival (or the run's end). Every
+		// flow is empty, so the wake time is the earliest arrival.
+		next := min(end, n.wake)
 		if next <= now {
 			next = now + timing.SlotTime
 		}
@@ -442,22 +480,16 @@ func (n *Network) burstDuration(k int, frameMicros float64) float64 {
 func (n *Network) frameError(w *Station, pri config.Priority, now float64) {
 	observed := len(n.observers) > 0
 	needBurst := observed || n.snifferActive()
+	f := w.peek(pri, now) // not consumed: the burst is retried
+	spec := f.Spec
 	var burst *hpav.Burst
-	var spec BurstSpec
 	if needBurst {
-		burst, spec = w.peekBurst(pri, now) // not consumed: the burst is retried
-	} else {
-		spec = w.peekSpec(pri, now)
+		burst = w.burst(spec)
 	}
 	k := spec.MPDUs
 	d := n.burstDuration(k, spec.FrameMicros)
 
-	txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
-	w.counters.AddAcked(txKey, uint64(k))
-	if dst := n.byTEI[spec.Dst]; dst != nil {
-		rxKey := LinkKey{Peer: w.Addr, Priority: pri, Direction: hpav.DirectionRx}
-		dst.counters.AddAcked(rxKey, uint64(k))
-	}
+	w.ack(f, uint64(k))
 
 	if needBurst {
 		n.capture(burst, now)
@@ -507,21 +539,11 @@ func (n *Network) idleRun(contenders []*Station, pri config.Priority, now, end f
 	if m == 1 {
 		return k, t
 	}
-	// Earliest instant a currently empty flow could gain traffic; an
-	// arrival can add a contender or raise the resolved priority class,
-	// so the batch must stop before the first slot that would see it.
-	nextArrival := inf
-	for _, s := range n.stations {
-		for _, f := range s.flows {
-			if f.Source.Pending(now) {
-				continue
-			}
-			if a := f.Source.NextArrival(now); a < nextArrival {
-				nextArrival = a
-			}
-		}
-	}
-	for k < m && t < end && t < nextArrival && !(n.beaconPeriod > 0 && n.nextBeacon <= t) {
+	// The wake time is the earliest instant a currently empty flow
+	// could gain traffic; an arrival can add a contender or raise the
+	// resolved priority class, so the batch must stop before the first
+	// slot that would see it.
+	for k < m && t < end && t < n.wake && !(n.beaconPeriod > 0 && n.nextBeacon <= t) {
 		t += timing.SlotTime
 		k++
 	}
@@ -545,12 +567,11 @@ func (n *Network) snifferActive() bool {
 func (n *Network) success(w *Station, pri config.Priority, now float64) {
 	observed := len(n.observers) > 0
 	needBurst := observed || n.snifferActive()
+	f := w.take(pri, now)
+	spec := f.Spec
 	var burst *hpav.Burst
-	var spec BurstSpec
 	if needBurst {
-		burst, spec = w.takeBurst(pri, now)
-	} else {
-		spec = w.takeSpec(pri, now)
+		burst = w.burst(spec)
 	}
 	k := spec.MPDUs
 
@@ -565,14 +586,7 @@ func (n *Network) success(w *Station, pri config.Priority, now float64) {
 	}
 	delivered := k*spec.PBsPerMPDU - errored
 
-	// Firmware counters: the transmitter's tx link gets k acked MPDUs;
-	// the destination's rx link mirrors them.
-	txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
-	w.counters.AddAcked(txKey, uint64(k))
-	if dst := n.byTEI[spec.Dst]; dst != nil {
-		rxKey := LinkKey{Peer: w.Addr, Priority: pri, Direction: hpav.DirectionRx}
-		dst.counters.AddAcked(rxKey, uint64(k))
-	}
+	w.ack(f, uint64(k))
 
 	// Sniffer capture: stations in sniffer mode hear every SoF of the
 	// burst (same contention domain).
@@ -600,6 +614,12 @@ func (n *Network) success(w *Station, pri config.Priority, now float64) {
 		w.headSince[pri] = now + d
 	} else {
 		w.quiesce(pri)
+	}
+	// The take may have drained a flow: refresh the winner's pending
+	// state as the next event will see it.
+	w.refresh(now + d)
+	if w.wake < n.wake {
+		n.wake = w.wake
 	}
 
 	n.stats.Successes++
@@ -631,7 +651,8 @@ func (n *Network) collision(txs []*Station, pri config.Priority, now float64) {
 	var collidedMPDUs int64
 
 	for _, s := range txs {
-		spec := s.peekSpec(pri, now)
+		f := s.peek(pri, now)
+		spec := f.Spec
 		if observed {
 			teis = append(teis, s.TEI)
 		}
@@ -644,9 +665,9 @@ func (n *Network) collision(txs []*Station, pri config.Priority, now float64) {
 		// acknowledges the collided frame with an all-errored
 		// indication — so the Acked counter advances together with the
 		// Collided counter.
-		txKey := LinkKey{Peer: spec.DstAddr, Priority: pri, Direction: hpav.DirectionTx}
-		s.counters.AddAcked(txKey, k)
-		s.counters.AddCollided(txKey, k)
+		b := s.txLink(f)
+		b.acked.Add(k)
+		b.collided.Add(k)
 	}
 
 	o := n.overheads

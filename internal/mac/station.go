@@ -49,9 +49,17 @@ func (s BurstSpec) Validate() error {
 }
 
 // Flow binds a traffic source to a burst specification at one station.
+// A flow and its source belong to a single station: the medium assumes
+// that only that station's transmissions consume the source's frames.
 type Flow struct {
 	Source traffic.Source
 	Spec   BurstSpec
+
+	// dst is the destination station, resolved when a Run starts;
+	// tx/rx cache the flow's counter buckets at the transmitter and the
+	// destination, resolved on first use in a Run and after a reset.
+	dst    *Station
+	tx, rx cachedLink
 }
 
 // Station is one PLC station of the emulated network: per-priority
@@ -77,10 +85,13 @@ type Station struct {
 	counters  *Counters
 	src       *rng.Source
 
-	// pending is the class bitmask of the current medium event (bit c
-	// set ⇔ some flow of class c has traffic); Network.step refreshes
-	// it once per event before reading it.
+	// pending is the class bitmask of the station's queued traffic (bit
+	// c set ⇔ some flow of class c has a frame) and wake the earliest
+	// arrival at one of its empty flows (+Inf if none), both as of the
+	// last refresh. They stay exact until the clock reaches wake or the
+	// station's own transmission takes a frame (see Network.step).
 	pending uint8
+	wake    float64
 
 	burstSeq uint32
 
@@ -176,29 +187,23 @@ func (s *Station) pendingAt(pri config.Priority, now float64) bool {
 	return false
 }
 
-// pendingMask returns the classes with traffic at now as a bitmask (bit
-// c set ⇔ some flow of class c is pending), asking each flow once.
-// Sources pull arrivals lazily from their own streams, so how often a
-// flow is asked at one instant never changes what it draws.
-func (s *Station) pendingMask(now float64) uint8 {
+// refresh recomputes the pending-class mask and the wake time at now,
+// asking each flow once (and each empty flow for its next arrival).
+// Sources pull arrivals lazily from their own streams, so how often or
+// when a flow is asked never changes what it draws.
+//
+//plclint:noalloc
+func (s *Station) refresh(now float64) {
 	var m uint8
+	wake := inf
 	for _, f := range s.flows {
 		if f.Source.Pending(now) {
 			m |= 1 << f.Spec.Priority
+		} else if t := f.Source.NextArrival(now); t < wake {
+			wake = t
 		}
 	}
-	return m
-}
-
-// nextArrival returns the earliest next arrival across flows.
-func (s *Station) nextArrival(now float64) float64 {
-	next := inf
-	for _, f := range s.flows {
-		if t := f.Source.NextArrival(now); t < next {
-			next = t
-		}
-	}
-	return next
+	s.pending, s.wake = m, wake
 }
 
 // contend ensures the station's backoff engine for class pri is live
@@ -245,56 +250,57 @@ func (s *Station) afterBusy(pri config.Priority, transmitted, success bool) {
 // restarts at stage 0.
 func (s *Station) quiesce(pri config.Priority) { s.active[pri] = false }
 
-// takeBurst consumes one frame from the first pending flow at pri and
-// materializes the burst it describes.
-func (s *Station) takeBurst(pri config.Priority, now float64) (*hpav.Burst, BurstSpec) {
-	spec := s.takeSpec(pri, now)
-	b, err := hpav.NewBurst(spec.MPDUs, s.TEI, spec.Dst, pri,
-		spec.PBsPerMPDU, spec.FrameMicros, s.burstSeq)
-	if err != nil {
-		panic(fmt.Sprintf("mac: takeBurst: %v", err)) // spec validated at AddFlow
-	}
-	return b, spec
+// take consumes one frame from the first pending flow at pri and
+// returns that flow. The burst sequence number advances whether or not
+// the burst is materialized, so that captures started later see the
+// same numbering.
+func (s *Station) take(pri config.Priority, now float64) *Flow {
+	f := s.peek(pri, now)
+	f.Source.Take(now)
+	s.burstSeq++
+	return f
 }
 
-// takeSpec consumes one frame from the first pending flow at pri without
-// materializing the burst — the allocation-free success path used when
-// no observer or sniffer needs the delimiters. The burst sequence number
-// still advances so that captures started later see the same numbering.
-func (s *Station) takeSpec(pri config.Priority, now float64) BurstSpec {
-	for _, f := range s.flows {
-		if f.Spec.Priority != pri || !f.Source.Pending(now) {
-			continue
-		}
-		f.Source.Take(now)
-		s.burstSeq++
-		return f.Spec
-	}
-	panic("mac: takeSpec called with no pending flow")
-}
-
-// peekBurst materializes the head-of-line burst at pri without
-// consuming the frame or advancing the burst sequence — the
-// channel-error path, where the burst stays queued and a later
-// successful delivery reuses the same numbering (a retransmission).
-func (s *Station) peekBurst(pri config.Priority, now float64) (*hpav.Burst, BurstSpec) {
-	spec := s.peekSpec(pri, now)
-	b, err := hpav.NewBurst(spec.MPDUs, s.TEI, spec.Dst, pri,
-		spec.PBsPerMPDU, spec.FrameMicros, s.burstSeq)
-	if err != nil {
-		panic(fmt.Sprintf("mac: peekBurst: %v", err)) // spec validated at AddFlow
-	}
-	return b, spec
-}
-
-// peekSpec returns the burst specification of the first pending flow at
-// pri without consuming the frame — used by the collision path, where
-// the frame stays queued for retry.
-func (s *Station) peekSpec(pri config.Priority, now float64) BurstSpec {
+// peek returns the first pending flow at pri without consuming its
+// frame — the collision and channel-error paths, where the frame stays
+// queued for retry.
+func (s *Station) peek(pri config.Priority, now float64) *Flow {
 	for _, f := range s.flows {
 		if f.Spec.Priority == pri && f.Source.Pending(now) {
-			return f.Spec
+			return f
 		}
 	}
-	panic("mac: peekSpec called with no pending flow")
+	panic("mac: no pending flow at the contending class")
+}
+
+// txLink returns flow f's counter bucket at its transmitter s.
+//
+//plclint:noalloc
+func (s *Station) txLink(f *Flow) *linkBucket {
+	return s.counters.link(LinkKey{Peer: f.Spec.DstAddr, Priority: f.Spec.Priority, Direction: hpav.DirectionTx}, &f.tx)
+}
+
+// ack credits k MPDUs of flow f, sent by s, as acknowledged: on the
+// transmitter's tx link and on the destination's mirroring rx link.
+//
+//plclint:noalloc
+func (s *Station) ack(f *Flow, k uint64) {
+	s.txLink(f).acked.Add(k)
+	if f.dst != nil {
+		rx := LinkKey{Peer: s.Addr, Priority: f.Spec.Priority, Direction: hpav.DirectionRx}
+		f.dst.counters.link(rx, &f.rx).acked.Add(k)
+	}
+}
+
+// burst materializes the delimiters of a burst of spec under the
+// current sequence number — only when an observer or sniffer will see
+// them. A channel-errored burst is not taken, so its retransmission
+// reuses the number.
+func (s *Station) burst(spec BurstSpec) *hpav.Burst {
+	b, err := hpav.NewBurst(spec.MPDUs, s.TEI, spec.Dst, spec.Priority,
+		spec.PBsPerMPDU, spec.FrameMicros, s.burstSeq)
+	if err != nil {
+		panic(fmt.Sprintf("mac: burst: %v", err)) // spec validated at AddFlow
+	}
+	return b
 }

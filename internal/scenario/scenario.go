@@ -326,6 +326,11 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
+	if s.resolvedEngine() == EngineMac {
+		if err := s.validateTEISpace(); err != nil {
+			return err
+		}
+	}
 	if s.Engine == EngineSim {
 		if why := s.needsMac(); why != "" {
 			return fmt.Errorf("scenario %s: engine \"sim\" cannot express %s (use \"mac\" or \"auto\")", s.Name, why)
@@ -392,6 +397,35 @@ func (s Spec) CVOpts() stats.CVOpts {
 		return stats.CVOpts{}
 	}
 	return stats.CVOpts{PilotReps: v.PilotReps, MinCorr: v.MinCorr, MaxBeta: v.MaxBeta}
+}
+
+// validateTEISpace rejects a mac-engine spec whose operating points
+// have more transmitters than the strip can address: the destination
+// holds TEI 1, so TEIs 2–254 leave room for hpav.MaxTransmitters.
+func (s Spec) validateTEISpace() error {
+	tooMany := func(what string, n int) error {
+		return fmt.Errorf("scenario %s: %s = %d transmitters exceed the mac engine's TEI space (at most %d: TEIs 2–254, the destination holds TEI 1)",
+			s.Name, what, n, hpav.MaxTransmitters)
+	}
+	if len(s.SweepN) > 0 {
+		for i, n := range s.SweepN {
+			if n > hpav.MaxTransmitters {
+				return tooMany(fmt.Sprintf("sweep_n[%d]", i), n)
+			}
+		}
+		return nil
+	}
+	total := 0
+	for gi, g := range s.Stations {
+		if g.Count > hpav.MaxTransmitters { // checked alone first: the sum could overflow
+			return tooMany(fmt.Sprintf("stations[%d] \"count\"", gi), g.Count)
+		}
+		total += g.Count
+	}
+	if total > hpav.MaxTransmitters {
+		return tooMany("the summed station counts", total)
+	}
+	return nil
 }
 
 func (s Spec) validateGroup(gi int, g Group) error {
@@ -475,6 +509,20 @@ func (s Spec) needsMac() string {
 	return ""
 }
 
+// resolvedEngine is the engine the spec runs on: the explicit choice,
+// or for "auto" the minimal simulator unless the spec needs the
+// event-driven MAC.
+func (s Spec) resolvedEngine() string {
+	switch {
+	case s.Engine != "" && s.Engine != EngineAuto:
+		return s.Engine
+	case s.needsMac() != "":
+		return EngineMac
+	default:
+		return EngineSim
+	}
+}
+
 // modelUnsupported lists every feature of the spec the analytic model
 // engine cannot express, in spec order. It is the model-engine analogue
 // of needsMac, but strictly smaller: Poisson/silent traffic and mixed
@@ -517,13 +565,7 @@ func (s Spec) Normalized() (Spec, error) {
 		return Spec{}, err
 	}
 	out := s
-	if out.Engine == "" || out.Engine == EngineAuto {
-		if out.needsMac() != "" {
-			out.Engine = EngineMac
-		} else {
-			out.Engine = EngineSim
-		}
-	}
+	out.Engine = out.resolvedEngine()
 	if out.Seed == 0 {
 		out.Seed = 1
 	}

@@ -125,6 +125,11 @@ func TestInvalidSpecs(t *testing.T) {
 		{"sim cannot poisson", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "stations": [{"count": 1, "traffic": {"kind": "poisson", "mean_interarrival_us": 10}}]}`, `engine "sim" cannot express`},
 		{"sim cannot beacon", `{"name": "x", "engine": "sim", "sim_time_us": 1e6, "beacon_period_us": 1000, "stations": [{"count": 1}]}`, `cannot express beacons`},
 		{"unknown field", `{"name": "x", "sim_time_us": 1e6, "stations": [{"count": 1, "cww": [8]}]}`, `unknown field`},
+		{"mac over TEI space", `{"name": "x", "engine": "mac", "sim_time_us": 1e5, "stations": [{"count": 260}]}`, `stations[0] "count" = 260 transmitters exceed the mac engine's TEI space`},
+		{"mac count 255", `{"name": "x", "engine": "mac", "sim_time_us": 1e5, "stations": [{"count": 255}]}`, `TEI space (at most 253`},
+		{"mac summed over TEI space", `{"name": "x", "engine": "mac", "sim_time_us": 1e5, "stations": [{"count": 200}, {"count": 60}]}`, `summed station counts = 260`},
+		{"mac sweep over TEI space", `{"name": "x", "engine": "mac", "sim_time_us": 1e5, "sweep_n": [2, 254], "stations": [{"count": 1}]}`, `sweep_n[1] = 254 transmitters exceed`},
+		{"auto mac over TEI space", `{"name": "x", "sim_time_us": 1e5, "stations": [{"count": 254, "traffic": {"kind": "poisson", "mean_interarrival_us": 1000}}]}`, `TEI space`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,6 +144,29 @@ func TestInvalidSpecs(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestMacTEISpaceBoundary runs a mac spec that fills the TEI space —
+// every transmitter gets a distinct TEI and MAC — and checks that the
+// limit binds only the mac engine.
+func TestMacTEISpaceBoundary(t *testing.T) {
+	spec, err := Parse([]byte(`{"name": "full", "engine": "mac", "sim_time_us": 2e4, "stations": [{"count": 200}, {"count": 53}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(spec)
+	if err != nil {
+		t.Fatalf("253 transmitters rejected: %v", err)
+	}
+	if _, err := RunOnce(c.Points[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range []string{EngineSim, EngineModel} {
+		s := Spec{Name: "big", Engine: engine, SimTimeMicros: 1e4, Stations: []Group{{Count: 300}}}
+		if _, err := Compile(s); err != nil {
+			t.Errorf("engine %s: 300 stations rejected: %v", engine, err)
+		}
 	}
 }
 

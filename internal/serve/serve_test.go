@@ -561,6 +561,9 @@ func TestHTTPAPI(t *testing.T) {
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"reps":3}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"spec":` + specJSON + `,"reps":-1}`, http.StatusBadRequest},
+		// More mac transmitters than TEIs is refused at admission, not
+		// accepted and then panicking in a worker.
+		{"POST", "/v1/jobs", `{"spec":{"name":"tei","engine":"mac","sim_time_us":1e5,"stations":[{"count":260}]},"reps":1}`, http.StatusBadRequest},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {

@@ -93,8 +93,8 @@ func (o Options) withDefaults() Options {
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	if o.N < 1 {
-		return fmt.Errorf("testbed: N=%d must be ≥ 1", o.N)
+	if o.N < 1 || o.N > hpav.MaxTransmitters {
+		return fmt.Errorf("testbed: N=%d must be 1–%d (TEIs 2–254; D holds TEI 1)", o.N, hpav.MaxTransmitters)
 	}
 	if o.BurstMPDUs < 1 || o.BurstMPDUs > hpav.MaxBurstMPDUs {
 		return fmt.Errorf("testbed: burst of %d MPDUs out of range", o.BurstMPDUs)

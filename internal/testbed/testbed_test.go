@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -27,6 +28,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{N: 0},
+		{N: hpav.MaxTransmitters + 1}, // beyond TEI 254
 		{N: 1, BurstMPDUs: 5},
 		{N: 1, PBsPerMPDU: -1},
 		{N: 1, FrameMicros: -3},
@@ -250,6 +252,23 @@ func TestStationAddressing(t *testing.T) {
 		if tb.Network.Station(StationTEI(i)) != d.Station() {
 			t.Errorf("transmitter %d not reachable by TEI", i)
 		}
+	}
+}
+
+// TestFullTEISpace builds the largest testbed the TEI space allows and
+// checks that every transmitter is distinct and reachable.
+func TestFullTEISpace(t *testing.T) {
+	tb, err := New(Options{N: hpav.MaxTransmitters, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range tb.Transmitters {
+		if tb.Network.Station(StationTEI(i)) != d.Station() || tb.Network.StationByAddr(StationAddr(i)) != d.Station() {
+			t.Fatalf("transmitter %d not reachable by TEI %d and its MAC", i, StationTEI(i))
+		}
+	}
+	if _, err := New(Options{N: hpav.MaxTransmitters + 1}); err == nil || !strings.Contains(err.Error(), "TEIs 2–254") {
+		t.Errorf("N = %d: error %v, want the TEI space named", hpav.MaxTransmitters+1, err)
 	}
 }
 

@@ -50,6 +50,13 @@ func (Saturated) Name() string { return "saturated" }
 
 // Poisson generates exponentially spaced arrivals with the given mean
 // inter-arrival time, buffering them in an unbounded queue.
+//
+// Arrivals are pulled lazily: Pending, Take and NextArrival draw new
+// inter-arrival times only while the backlog is empty, since a queued
+// frame already answers them. An overloaded source therefore stops
+// drawing arrivals no burst will serve. The arrival times are the same
+// as with eager pulls — they come from the source's own stream in the
+// same order — and Backlog still pulls every arrival up to now.
 type Poisson struct {
 	mean    float64
 	src     *rng.Source
@@ -78,16 +85,23 @@ func (p *Poisson) pull(now float64) {
 	}
 }
 
-// Pending reports whether an arrival is queued at time now.
-func (p *Poisson) Pending(now float64) bool {
-	p.pull(now)
+// refill pulls the arrivals up to now only when the backlog is empty,
+// and reports whether a frame is queued.
+//
+//plclint:noalloc
+func (p *Poisson) refill(now float64) bool {
+	if p.backlog == 0 {
+		p.pull(now)
+	}
 	return p.backlog > 0
 }
 
+// Pending reports whether an arrival is queued at time now.
+func (p *Poisson) Pending(now float64) bool { return p.refill(now) }
+
 // Take consumes one queued arrival.
 func (p *Poisson) Take(now float64) {
-	p.pull(now)
-	if p.backlog == 0 {
+	if !p.refill(now) {
 		panic("traffic: Poisson.Take with empty backlog")
 	}
 	p.backlog--
@@ -95,8 +109,7 @@ func (p *Poisson) Take(now float64) {
 
 // NextArrival returns the next arrival time (or now, if backlogged).
 func (p *Poisson) NextArrival(now float64) float64 {
-	p.pull(now)
-	if p.backlog > 0 {
+	if p.refill(now) {
 		return now
 	}
 	return p.next

@@ -135,3 +135,117 @@ func TestPoissonDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// eagerPoisson is the reference the lazy Poisson must agree with: it
+// pulls every arrival up to now on every call.
+type eagerPoisson struct {
+	mean    float64
+	src     *rng.Source
+	next    float64
+	backlog int
+}
+
+func newEagerPoisson(mean float64, src *rng.Source) *eagerPoisson {
+	return &eagerPoisson{mean: mean, src: src, next: src.Exponential(mean)}
+}
+
+func (p *eagerPoisson) pull(now float64) {
+	for p.next <= now {
+		p.backlog++
+		p.next += p.src.Exponential(p.mean)
+	}
+}
+
+func (p *eagerPoisson) Pending(now float64) bool { p.pull(now); return p.backlog > 0 }
+
+func (p *eagerPoisson) Take(now float64) { p.pull(now); p.backlog-- }
+
+func (p *eagerPoisson) NextArrival(now float64) float64 {
+	p.pull(now)
+	if p.backlog > 0 {
+		return now
+	}
+	return p.next
+}
+
+func (p *eagerPoisson) Backlog(now float64) int { p.pull(now); return p.backlog }
+
+// drawsUpTo returns how many inter-arrival times a source seeded like
+// src has drawn once its pending arrival is next.
+func drawsUpTo(mean float64, src *rng.Source, next float64) int {
+	t := src.Exponential(mean)
+	draws := 1
+	for t < next {
+		t += src.Exponential(mean)
+		draws++
+	}
+	return draws
+}
+
+// TestLazyPoissonMatchesEager drives random Pending/Take/NextArrival/
+// Backlog sequences on the lazy source and on the eager reference,
+// from underloaded to heavily overloaded, and requires identical
+// answers and final backlogs.
+func TestLazyPoissonMatchesEager(t *testing.T) {
+	gen := rng.New(77)
+	for c := 0; c < 400; c++ {
+		mean := 10 + gen.Float64()*2_000
+		seed := uint64(c + 1)
+		lazy := NewPoisson(mean, rng.New(seed))
+		eager := newEagerPoisson(mean, rng.New(seed))
+		takeBias := gen.Float64() // share of calls that serve a frame
+		now := 0.0
+		for op := 0; op < 500; op++ {
+			if gen.Intn(4) != 0 { // some calls repeat the same instant
+				now += gen.Float64() * 2 * mean
+			}
+			switch k := gen.Intn(20); {
+			case k < 9:
+				if g, w := lazy.Pending(now), eager.Pending(now); g != w {
+					t.Fatalf("case %d op %d: Pending(%v) = %v, eager %v", c, op, now, g, w)
+				}
+			case k < 18:
+				if g, w := lazy.NextArrival(now), eager.NextArrival(now); g != w {
+					t.Fatalf("case %d op %d: NextArrival(%v) = %v, eager %v", c, op, now, g, w)
+				}
+			default:
+				if g, w := lazy.Backlog(now), eager.Backlog(now); g != w {
+					t.Fatalf("case %d op %d: Backlog(%v) = %d, eager %d", c, op, now, g, w)
+				}
+			}
+			if gen.Float64() < takeBias && eager.Pending(now) {
+				lazy.Take(now)
+				eager.Take(now)
+			}
+		}
+		if g, w := lazy.Backlog(now), eager.Backlog(now); g != w {
+			t.Fatalf("case %d: final Backlog = %d, eager %d", c, g, w)
+		}
+	}
+}
+
+// TestLazyPoissonOverloadDrawsLess serves an overloaded source — ten
+// arrivals per served frame — through Pending/Take/NextArrival only,
+// and checks that it drew far fewer inter-arrival times than arrivals
+// occurred, while Backlog still counts every arrival.
+func TestLazyPoissonOverloadDrawsLess(t *testing.T) {
+	const mean, horizon = 100.0, 1e6
+	p := NewPoisson(mean, rng.New(5))
+	eager := newEagerPoisson(mean, rng.New(5))
+	served := 0
+	for now := 0.0; now < horizon; now += 10 * mean {
+		if p.NextArrival(now) == now && p.Pending(now) {
+			p.Take(now)
+			eager.Take(now)
+			served++
+		}
+	}
+	draws := drawsUpTo(mean, rng.New(5), p.next)
+	arrivals := served + eager.Backlog(horizon)
+	if draws >= arrivals/2 {
+		t.Errorf("overloaded source drew %d inter-arrival times for %d arrivals (%d served)", draws, arrivals, served)
+	}
+	if got := p.Backlog(horizon); got != arrivals-served {
+		t.Errorf("Backlog = %d, want %d", got, arrivals-served)
+	}
+}
