@@ -291,11 +291,10 @@ func (r refNetwork) collision(txs []*Station, pri config.Priority, now float64) 
 // oracleFlow and oracleCase describe one random network, so that the
 // engine and the reference can each build an identical copy.
 type oracleFlow struct {
-	kind  int // 0 saturated, 1 Poisson, 2 none
-	mean  float64
-	dst   int // index into the case's stations, or -1 for an unattached TEI
-	spec  BurstSpec
-	class config.Priority
+	kind int // 0 saturated, 1 Poisson, 2 none
+	mean float64
+	dst  int // index into the case's stations, or -1 for an unattached TEI
+	spec BurstSpec
 }
 
 type oracleCase struct {
@@ -326,13 +325,14 @@ func randomOracleCase(src *rng.Source, seed uint64) oracleCase {
 		nf := 1 + src.Intn(3)
 		var flows []oracleFlow
 		for j := 0; j < nf; j++ {
-			f := oracleFlow{kind: src.Intn(3), mean: 200 + src.Float64()*40_000, class: config.Priority(src.Intn(4))}
+			f := oracleFlow{kind: src.Intn(3), mean: 200 + src.Float64()*40_000}
+			pri := config.Priority(src.Intn(4))
 			if unsaturated && f.kind == 0 {
 				f.kind = 1
 			}
 			f.dst = src.Intn(ns+1) - 1
 			f.spec = BurstSpec{
-				Priority: f.class, MPDUs: 1 + src.Intn(hpav.MaxBurstMPDUs),
+				Priority: pri, MPDUs: 1 + src.Intn(hpav.MaxBurstMPDUs),
 				PBsPerMPDU: 1 + src.Intn(4), FrameMicros: 100 + src.Float64()*2000,
 			}
 			flows = append(flows, f)

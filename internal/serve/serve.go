@@ -443,10 +443,12 @@ func (s *Server) SubmitTimeout(spec scenario.Spec, reps int, timeout time.Durati
 
 	j := s.newJobLocked(key, compiled, reps)
 	j.timeout = s.cfg.effectiveTimeout(timeout)
+	// Marked before the send: a worker may dequeue the job and mark it
+	// running before this goroutine runs again.
+	j.trace.Mark(traceQueued)
 	select {
 	case s.queue <- j:
 		s.metrics.subScenario.Inc()
-		j.trace.Mark(traceQueued)
 	default:
 		// Undo the registration: the job was never admitted (nothing
 		// was counted as a submission, only as a rejection).
@@ -627,10 +629,10 @@ func (s *Server) SubmitCampaignTimeout(spec campaign.Spec, timeout time.Duration
 
 	j := s.registerLocked(newCampaignJob(s.nextIDLocked("c"), key, compiled))
 	j.timeout = s.cfg.effectiveTimeout(timeout)
+	j.trace.Mark(traceQueued) // before the send, as for scenario jobs
 	select {
 	case s.queue <- j:
 		s.metrics.subCampaign.Inc()
-		j.trace.Mark(traceQueued)
 	default:
 		delete(s.jobs, j.id)
 		s.order = s.order[:len(s.order)-1]
