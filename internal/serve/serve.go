@@ -838,14 +838,13 @@ func (s *Server) runJob(j *Job) {
 	defer func() {
 		if v := recover(); v != nil {
 			err := &par.PanicError{Value: v, Stack: debug.Stack()}
-			j.finish(StateFailed, nil, err.Error())
-			s.finishJob(j, StateFailed, obs.Since(started), true)
+			s.finishJob(j, StateFailed, nil, err.Error(), obs.Since(started), true)
 		}
 	}()
 	ctx, ok := j.start(s.ctx)
 	if !ok {
 		// Cancelled while queued; nothing ran.
-		s.finishJob(j, StateCancelled, 0, false)
+		s.finishJob(j, StateCancelled, nil, "", 0, false)
 		return
 	}
 	if wait, ok := j.trace.Between(traceQueued, traceRunning); ok {
@@ -870,13 +869,11 @@ func (s *Server) runJob(j *Job) {
 	svc := obs.Since(started)
 	state, panicked := classify(ctx, err)
 	if err != nil {
-		j.finish(state, nil, err.Error())
-		s.finishJob(j, state, svc, panicked)
+		s.finishJob(j, state, nil, err.Error(), svc, panicked)
 		return
 	}
 	s.cache.put(ent)
-	j.finish(StateDone, &ent, "")
-	s.finishJob(j, StateDone, svc, false)
+	s.finishJob(j, StateDone, &ent, "", svc, false)
 }
 
 // classify maps a job execution error to its terminal state. The
@@ -970,8 +967,11 @@ func (c *pointCache) Put(key string, rep *scenario.Report) {
 // slot, bumps the outcome counter, folds the service time into the
 // retry-after estimate, and journals the end — unless Drain is
 // abandoning, in which case a cancelled job's record is deliberately
-// left non-terminal so a restart replays it.
-func (s *Server) finishJob(j *Job, state State, svc time.Duration, panicked bool) {
+// left non-terminal so a restart replays it. The job moves to its
+// terminal state (a no-op for a job cancelled while queued) after the
+// counters are bumped, so whoever Waits on the job sees them account
+// for it.
+func (s *Server) finishJob(j *Job, state State, ent *entry, errMsg string, svc time.Duration, panicked bool) {
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
@@ -992,7 +992,8 @@ func (s *Server) finishJob(j *Job, state State, svc time.Duration, panicked bool
 	if svc > 0 {
 		s.metrics.svcFor(j).Observe(svc.Seconds())
 	}
-	s.observeE2E(j)
+	j.finish(state, ent, errMsg)
+	s.observeE2E(j) // reads the terminal mark finish leaves on the trace
 	// Journal outside s.mu: the end record write is disk I/O.
 	if s.journal != nil && j.seq != 0 && !suppress {
 		s.journal.end(j.seq, state)
